@@ -6,8 +6,9 @@
 // eliminating the savings over Round-Robin.
 #include "bench_util.hpp"
 
-#include "core/scheduler.hpp"
+#include "core/lddm.hpp"
 #include "optim/instance.hpp"
+#include "optim/solver.hpp"
 
 namespace {
 
@@ -28,9 +29,10 @@ GammaResult run_gamma(double gamma) {
     opts.num_replicas = 6;
     opts.gamma = gamma;
     const auto problem = optim::make_random_instance(rng, opts);
-    core::LddmScheduler lddm;
-    const auto edr = lddm.schedule(problem).allocation;
-    const auto rr = core::round_robin_allocation(problem);
+    core::LddmEngine lddm{problem};
+    lddm.run();
+    const auto edr = lddm.solution();
+    const auto rr = optim::round_robin_allocation(problem);
     const double edr_cost = problem.total_cost(edr);
     const double rr_cost = problem.total_cost(rr);
     aggregate.saving_pct += (rr_cost - edr_cost) / rr_cost * 100.0;

@@ -4,8 +4,9 @@
 // energy-minimization and the cost gap to Round-Robin closes.
 #include "bench_util.hpp"
 
-#include "core/scheduler.hpp"
+#include "core/lddm.hpp"
 #include "optim/instance.hpp"
+#include "optim/solver.hpp"
 
 namespace {
 
@@ -22,11 +23,11 @@ double saving_for_spread(int max_price) {
     opts.min_price = 1;
     opts.max_price = max_price;
     const auto problem = optim::make_random_instance(rng, opts);
-    core::LddmScheduler lddm;
-    const double edr_cost =
-        problem.total_cost(lddm.schedule(problem).allocation);
+    core::LddmEngine lddm{problem};
+    lddm.run();
+    const double edr_cost = problem.total_cost(lddm.solution());
     const double rr_cost =
-        problem.total_cost(core::round_robin_allocation(problem));
+        problem.total_cost(optim::round_robin_allocation(problem));
     saving += (rr_cost - edr_cost) / rr_cost * 100.0;
     ++samples;
   }

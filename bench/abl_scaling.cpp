@@ -2,7 +2,7 @@
 // and §IV-D): CDPSM's per-round traffic grows O(|C|·|N|³), LDDM's
 // O(|C|·|N|), DONAR's O(|C|·|N|·|M|); "with the increasing system size,
 // EDR will eventually outperform DONAR in a large scale cloud system".
-// Also measures real wall-clock schedule() time per algorithm.
+// Also measures real wall-clock solve time per algorithm.
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -11,7 +11,6 @@
 #include "common/thread_pool.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
-#include "core/scheduler.hpp"
 #include "optim/instance.hpp"
 
 namespace {
@@ -26,15 +25,28 @@ optim::Problem instance(std::size_t replicas, std::uint64_t seed = 21) {
   return optim::make_random_instance(rng, opts);
 }
 
+/// Average coordination bytes per round of a finished engine run.
+template <typename Engine>
+double bytes_per_round(const Engine& engine) {
+  const auto rounds = engine.rounds_executed();
+  return rounds ? static_cast<double>(engine.bytes_exchanged()) /
+                      static_cast<double>(rounds)
+                : 0.0;
+}
+
 void BM_Scaling_Lddm(benchmark::State& state) {
   const auto problem = instance(static_cast<std::size_t>(state.range(0)));
-  core::LddmScheduler scheduler;
-  core::ScheduleResult result;
-  for (auto _ : state) result = scheduler.schedule(problem);
+  std::size_t rounds = 0;
+  double per_round = 0.0;
+  for (auto _ : state) {
+    core::LddmEngine engine{problem};
+    engine.run();
+    rounds = engine.rounds_executed();
+    per_round = bytes_per_round(engine);
+  }
   state.counters["replicas"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["bytes_per_round"] = per_round;
   bench::record_metric(
       "bytes_per_round/" + std::to_string(state.range(0)),
       state.counters["bytes_per_round"], "bytes", "lddm");
@@ -56,13 +68,17 @@ void BM_Scaling_Cdpsm(benchmark::State& state) {
     options.max_rounds = 8;
     options.tolerance = 0.0;
   }
-  core::CdpsmScheduler scheduler{options};
-  core::ScheduleResult result;
-  for (auto _ : state) result = scheduler.schedule(problem);
+  std::size_t rounds = 0;
+  double per_round = 0.0;
+  for (auto _ : state) {
+    core::CdpsmEngine engine{problem, options};
+    engine.run();
+    rounds = engine.rounds_executed();
+    per_round = bytes_per_round(engine);
+  }
   state.counters["replicas"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["bytes_per_round"] = per_round;
   bench::record_metric(
       "bytes_per_round/" + std::to_string(state.range(0)),
       state.counters["bytes_per_round"], "bytes", "cdpsm");
@@ -77,13 +93,19 @@ void BM_Scaling_Donar(benchmark::State& state) {
   baselines::DonarOptions options;
   options.num_mapping_nodes =
       static_cast<std::size_t>(state.range(0));  // mapping tier scales too
-  baselines::DonarScheduler scheduler{options};
-  core::ScheduleResult result;
-  for (auto _ : state) result = scheduler.schedule(problem);
+  std::size_t rounds = 0;
+  double per_round = 0.0;
+  for (auto _ : state) {
+    baselines::DonarEngine engine{problem, options};
+    engine.run();
+    rounds = engine.rounds_executed();
+    // Every mapping node broadcasts its aggregate once per round.
+    per_round = static_cast<double>(options.num_mapping_nodes *
+                                    engine.bytes_per_node_round());
+  }
   state.counters["mapping_nodes"] = static_cast<double>(state.range(0));
-  state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["bytes_per_round"] =
-      result.rounds ? static_cast<double>(result.bytes) / result.rounds : 0.0;
+  state.counters["rounds"] = static_cast<double>(rounds);
+  state.counters["bytes_per_round"] = per_round;
   bench::record_metric(
       "bytes_per_round/" + std::to_string(state.range(0)),
       state.counters["bytes_per_round"], "bytes", "donar");

@@ -9,8 +9,9 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "core/scheduler.hpp"
+#include "core/lddm.hpp"
 #include "optim/instance.hpp"
+#include "optim/solver.hpp"
 
 int main() {
   using namespace edr;
@@ -41,28 +42,31 @@ int main() {
   }
 
   // 4. Schedule with EDR's distributed LDDM, plus two reference points.
-  core::LddmScheduler lddm;
-  core::CentralizedScheduler central;
-  const auto edr_result = lddm.schedule(problem);
-  const auto central_result = central.schedule(problem);
-  const Matrix rr = core::round_robin_allocation(problem);
+  core::LddmEngine lddm{problem};
+  lddm.run();
+  const Matrix edr = lddm.solution();
+  const auto central = optim::solve_centralized(problem);
+  if (!central) {
+    std::fprintf(stderr, "instance is transport-infeasible\n");
+    return 1;
+  }
+  const Matrix rr = optim::round_robin_allocation(problem);
 
   // 5. Inspect the resulting traffic split and costs.
   Table split({"replica", "price", "EDR-LDDM load MB", "RoundRobin load MB"});
   for (std::size_t n = 0; n < replicas.size(); ++n)
     split.add_row({std::to_string(n), Table::num(prices[n], 0),
-                   Table::num(edr_result.allocation.col_sum(n), 1),
+                   Table::num(edr.col_sum(n), 1),
                    Table::num(rr.col_sum(n), 1)});
   std::printf("%s\n", split.to_string().c_str());
 
   std::printf("energy cost (model units):\n");
   std::printf("  EDR-LDDM    : %8.2f  (%zu distributed rounds, %zu bytes)\n",
-              problem.total_cost(edr_result.allocation), edr_result.rounds,
-              edr_result.bytes);
-  std::printf("  Centralized : %8.2f  (ground truth)\n",
-              problem.total_cost(central_result.allocation));
+              problem.total_cost(edr), lddm.rounds_executed(),
+              static_cast<std::size_t>(lddm.bytes_exchanged()));
+  std::printf("  Centralized : %8.2f  (ground truth)\n", central->cost);
   std::printf("  Round-Robin : %8.2f\n", problem.total_cost(rr));
-  const double saving = 1.0 - problem.total_cost(edr_result.allocation) /
+  const double saving = 1.0 - problem.total_cost(edr) /
                                   problem.total_cost(rr);
   std::printf("EDR saves %.1f%% vs Round-Robin on this instance.\n",
               saving * 100.0);

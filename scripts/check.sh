@@ -35,9 +35,9 @@ ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
 echo
 echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
-# Only the tests that actually exercise concurrency: the threaded LDDM
-# harness (real solver threads over the in-process transport), the mailbox
-# transport itself, the atomic metrics registry, the fork-join ThreadPool,
+# Only the tests that actually exercise concurrency: LDDM against the
+# central optimum on the live runtime (one thread per replica over the
+# in-process transport), the mailbox transport itself, the atomic metrics registry, the fork-join ThreadPool,
 # the parallel projection sweeps, and the golden-equivalence sweep that runs
 # every backend at solver_threads ∈ {1, 2, hardware}. The rest of the suite
 # is single-threaded and already covered by the asan/ubsan tree above.
@@ -48,9 +48,9 @@ echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 cmake -B build-tsan -S . -DEDR_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
-           test_core
+           test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'ThreadedLddm|AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'LddmMatchesCentralUnderRealThreads|AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="
@@ -72,12 +72,34 @@ echo "telemetry overhead smoke: disabled-telemetry output bit-identical"
 echo
 echo "== bench baseline smoke (abl_scaling --json-out, schema vs committed) =="
 # Regenerate the scaling-bench metrics and compare their *schema* (metric
-# names, units, algorithm keys — values blanked, they are machine-speed
-# dependent) against the committed BENCH_abl_scaling.json baseline. A diff
-# means a bench metric was renamed/dropped without refreshing the baseline.
+# names, units, algorithm keys) against the committed BENCH_abl_scaling.json
+# baseline. A diff means a bench metric was renamed/dropped without
+# refreshing the baseline. Then compare every deterministic row (any unit
+# but the wall-clock ones: ms, x, threads) by value: bytes, rounds, cost
+# ratios and verdicts must match the committed baseline exactly.
 bench_schema() {
   grep -o '"name":"[^"]*"\|"unit":"[^"]*"\|"algorithm":"[^"]*"' "$1" \
     | paste -d' ' - - - | sort
+}
+bench_values() {
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+wall_clock = {"ms", "x", "threads"}
+def rows(path):
+    return {(m["algorithm"], m["name"]): m["value"]
+            for m in json.load(open(path))["metrics"]
+            if m["unit"] not in wall_clock}
+committed, fresh = rows(sys.argv[1]), rows(sys.argv[2])
+drift = [f"  {alg or '-'} {name}: committed {committed[alg, name]!r},"
+         f" now {fresh.get((alg, name))!r}"
+         for alg, name in sorted(committed)
+         if fresh.get((alg, name)) != committed[alg, name]]
+if drift:
+    print(f"{sys.argv[1]}: deterministic rows drifted:", *drift, sep="\n",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"{sys.argv[1]}: {len(committed)} deterministic rows match by value")
+PY
 }
 build/bench/abl_scaling "--json-out=$smoke_dir/BENCH_abl_scaling.json" \
   >/dev/null 2>&1
@@ -89,6 +111,9 @@ if ! diff -u "$smoke_dir/schema.committed" "$smoke_dir/schema.new"; then
   exit 1
 fi
 echo "bench baseline smoke: abl_scaling metric schema matches the baseline"
+bench_values BENCH_abl_scaling.json "$smoke_dir/BENCH_abl_scaling.json" \
+  || { echo "bench baseline smoke FAILED: abl_scaling values drifted" >&2;
+       exit 1; }
 # Same schema check for the SIMD kernel microbenchmark, plus its built-in
 # cross-mode agreement verdict: a vectorized kernel that computes something
 # different from the scalar golden path must fail the pre-merge check even
@@ -114,9 +139,9 @@ echo
 echo "== scenario smoke (named dynamic-world scenarios + sweep schema) =="
 # Two named scenarios end to end through the CLI front end: each must
 # print a PASS verdict (edr_sim --scenario exits non-zero otherwise).
-# Then regenerate the scenario-sweep metrics and schema-diff them against
-# the committed BENCH_scenario_sweep.json baseline, exactly like the
-# abl_scaling/abl_kernels baselines above.
+# Then regenerate the scenario-sweep metrics and diff their schema and
+# deterministic values against the committed BENCH_scenario_sweep.json
+# baseline, exactly like the abl_scaling baseline above.
 for scen in price-flip replica-churn; do
   build/examples/edr_sim --scenario "$scen" > "$smoke_dir/scen_$scen.txt"
   if ! grep -q '^verdict: PASS$' "$smoke_dir/scen_$scen.txt"; then
@@ -136,6 +161,8 @@ if ! diff -u "$smoke_dir/scen.committed" "$smoke_dir/scen.new"; then
   exit 1
 fi
 echo "scenario smoke: sweep metric schema matches the baseline"
+bench_values BENCH_scenario_sweep.json "$smoke_dir/BENCH_scenario_sweep.json" \
+  || { echo "scenario smoke FAILED: sweep values drifted" >&2; exit 1; }
 
 echo
 echo "== sparse smoke (dense vs sparse vs aggregated, all six backends) =="

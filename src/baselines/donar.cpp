@@ -130,18 +130,4 @@ std::size_t DonarEngine::bytes_per_node_round() const {
          (options_.num_mapping_nodes - 1);
 }
 
-core::ScheduleResult DonarScheduler::schedule(const optim::Problem& problem) {
-  DonarEngine engine(problem, options_);
-  engine.run();
-  core::ScheduleResult result;
-  result.allocation = engine.solution();
-  result.rounds = engine.rounds_executed();
-  result.converged = engine.converged();
-  result.messages = result.rounds * options_.num_mapping_nodes *
-                    (options_.num_mapping_nodes - 1);
-  result.bytes = result.rounds * options_.num_mapping_nodes *
-                 engine.bytes_per_node_round();
-  return result;
-}
-
 }  // namespace edr::baselines

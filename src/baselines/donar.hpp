@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "core/scheduler.hpp"
 #include "optim/convergence.hpp"
 #include "optim/problem.hpp"
 
@@ -98,19 +97,6 @@ class DonarEngine {
   std::size_t stable_rounds_ = 0;
   std::size_t rounds_ = 0;
   bool converged_ = false;
-};
-
-/// Scheduler-interface wrapper (for the cost comparisons: DONAR picks good
-/// network paths but ignores electricity prices).
-class DonarScheduler final : public core::Scheduler {
- public:
-  explicit DonarScheduler(DonarOptions options = {}) : options_(options) {}
-  [[nodiscard]] std::string name() const override { return "DONAR"; }
-  [[nodiscard]] core::ScheduleResult schedule(
-      const optim::Problem& problem) override;
-
- private:
-  DonarOptions options_;
 };
 
 }  // namespace edr::baselines

@@ -180,7 +180,7 @@ class AdmmEngine {
   }
 
   /// Messages / bytes the rounds so far would have put on the wire
-  /// (accumulated round by round — the counters ScheduleResult is fed from,
+  /// (accumulated round by round — the counters one-shot callers read,
   /// mirrored into solver.admm.* when telemetry is attached).
   [[nodiscard]] std::uint64_t messages_exchanged() const {
     return messages_exchanged_;

@@ -1,8 +1,8 @@
 #include "core/builtin_algorithms.hpp"
 
 #include <cstdint>
+#include <stdexcept>
 
-#include "core/scheduler.hpp"
 #include "net/wire.hpp"
 #include "optim/solver.hpp"
 
@@ -534,9 +534,13 @@ std::optional<Matrix> CentralizedAlgorithm::solve_oneshot(
   // died mid-solve, the epoch stalls until the ring detects the crash and
   // the restart elects the next survivor.
   if (!(*ctx.replica_alive)[coordinator_]) return std::nullopt;
+  // Admission control (shed_to_feasible) hands every solver a
+  // transport-feasible instance, so a failed solve is a bug upstream.
   auto solved = optim::solve_centralized(*ctx.problem);
-  Matrix allocation = solved ? std::move(solved->allocation)
-                             : round_robin_allocation(*ctx.problem);
+  if (!solved)
+    throw std::logic_error(
+        "CentralizedAlgorithm: solve_centralized failed on an epoch problem");
+  Matrix allocation = std::move(solved->allocation);
   if (observability_enabled(ctx)) {
     pending_samples_.clear();
     const optim::Problem& problem = *ctx.problem;

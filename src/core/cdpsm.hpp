@@ -162,8 +162,8 @@ class CdpsmEngine {
   }
 
   /// Messages / bytes this engine's rounds would have put on the wire so
-  /// far (accumulated round by round — the counters ScheduleResult is fed
-  /// from, mirrored into solver.cdpsm.* when telemetry is attached).
+  /// far (accumulated round by round — the counters one-shot callers read,
+  /// mirrored into solver.cdpsm.* when telemetry is attached).
   [[nodiscard]] std::uint64_t messages_exchanged() const {
     return messages_exchanged_;
   }

@@ -48,16 +48,33 @@ double shed_to_feasible(std::optional<optim::Problem>& problem,
                         Milliseconds max_latency) {
   const auto transport = optim::check_transport_feasible(*problem);
   if (transport.feasible) return 0.0;
-  const double scale = transport.routed / problem->total_demand() * 0.999;
-  std::vector<Megabytes> scaled = problem->demands();
-  for (auto& d : scaled) d *= scale;
-  std::vector<optim::ReplicaParams> reps = problem->replicas();
   Matrix lat(problem->num_clients(), problem->num_replicas());
   for (std::size_t row = 0; row < problem->num_clients(); ++row)
     for (std::size_t col = 0; col < problem->num_replicas(); ++col)
       lat(row, col) = problem->latency(row, col);
-  problem.emplace(std::move(scaled), std::move(reps), std::move(lat),
-                  max_latency);
+  const auto scaled = [&](double scale) {
+    std::vector<Megabytes> demands = problem->demands();
+    for (auto& d : demands) d *= scale;
+    return optim::Problem(std::move(demands), problem->replicas(), lat,
+                          max_latency);
+  };
+  double scale = transport.routed / problem->total_demand() * 0.999;
+  optim::Problem shed = scaled(scale);
+  if (!optim::check_transport_feasible(shed).feasible) {
+    // A max flow above the scaled total does not make the proportionally
+    // scaled demand vector routable: a client whose only replicas are
+    // saturated keeps an unroutable share.  Bisect the uniform scale
+    // between 0 (always routable) and the flow ratio instead.
+    double lo = 0.0;
+    double hi = scale;
+    for (int step = 0; step < 40; ++step) {
+      const double mid = 0.5 * (lo + hi);
+      (optim::check_transport_feasible(scaled(mid)).feasible ? lo : hi) = mid;
+    }
+    scale = lo;
+    shed = scaled(scale);
+  }
+  problem.emplace(std::move(shed));
   return 1.0 - scale;
 }
 

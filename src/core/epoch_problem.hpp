@@ -55,9 +55,11 @@ struct EpochProblemSpec {
 
 /// Admission control for demand spikes: when the instance is
 /// transport-infeasible even against pooled capacity, scale all demands by
-/// routed/total·0.999 and rebuild.  Returns the shed fraction (0 when the
-/// instance was already feasible).  Callers decide what happens to the shed
-/// megabytes (the pipeline re-queues them through its retry backlog).
+/// one uniform factor and rebuild — routed/total·0.999 when that is
+/// routable, otherwise the largest routable factor found by bisection.
+/// Returns the shed fraction (0 when the instance was already feasible).
+/// Callers decide what happens to the shed megabytes (the pipeline
+/// re-queues them through its retry backlog).
 double shed_to_feasible(std::optional<optim::Problem>& problem,
                         Milliseconds max_latency);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "optim/flow.hpp"
 #include "optim/projection.hpp"
@@ -131,6 +132,41 @@ std::optional<CentralizedResult> solve_admm(const Problem& problem,
     project_feasible(problem, result.allocation);
   result.cost = problem.total_cost(result.allocation);
   return result;
+}
+
+Matrix round_robin_allocation(const Problem& problem) {
+  const std::size_t clients = problem.num_clients();
+  const std::size_t replicas = problem.num_replicas();
+  Matrix allocation(clients, replicas, 0.0);
+  std::vector<double> remaining_capacity(replicas);
+  for (std::size_t n = 0; n < replicas; ++n)
+    remaining_capacity[n] = problem.replica(n).bandwidth;
+
+  // First pass: equal split over feasible replicas, clipped to capacity.
+  std::vector<double> unplaced(clients, 0.0);
+  for (std::size_t c = 0; c < clients; ++c) {
+    const std::size_t feasible = problem.feasible_count(c);
+    if (feasible == 0) continue;
+    const double share = problem.demand(c) / static_cast<double>(feasible);
+    for (std::size_t n = 0; n < replicas; ++n) {
+      if (!problem.feasible_pair(c, n)) continue;
+      const double placed = std::min(share, remaining_capacity[n]);
+      allocation(c, n) = placed;
+      remaining_capacity[n] -= placed;
+      unplaced[c] += share - placed;
+    }
+  }
+  // Waterfall pass: push overflow onto whatever feasible capacity is left.
+  for (std::size_t c = 0; c < clients; ++c) {
+    for (std::size_t n = 0; n < replicas && unplaced[c] > 1e-12; ++n) {
+      if (!problem.feasible_pair(c, n)) continue;
+      const double placed = std::min(unplaced[c], remaining_capacity[n]);
+      allocation(c, n) += placed;
+      remaining_capacity[n] -= placed;
+      unplaced[c] -= placed;
+    }
+  }
+  return allocation;
 }
 
 }  // namespace edr::optim

@@ -39,6 +39,12 @@ struct CentralizedResult {
 [[nodiscard]] std::optional<CentralizedResult> solve_centralized(
     const Problem& problem, const CentralizedOptions& options = {});
 
+/// The paper's Round-Robin baseline as a one-shot split: divide every
+/// client's demand equally across its latency-feasible replicas, oblivious
+/// to price and load, then waterfall any capacity overflow onto the
+/// remaining feasible replicas.
+[[nodiscard]] Matrix round_robin_allocation(const Problem& problem);
+
 struct AdmmOptions {
   std::size_t max_iterations = 4000;
   /// Augmented-Lagrangian penalty; 0 = auto (the gradient Lipschitz bound,

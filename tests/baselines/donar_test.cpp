@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/scheduler.hpp"
+#include "core/lddm.hpp"
 #include "optim/instance.hpp"
 
 namespace edr::baselines {
@@ -106,27 +106,17 @@ TEST(Donar, IgnoresElectricityPrices) {
   EXPECT_LT(engine_a.solution().distance(engine_b.solution()), 1e-6);
 }
 
-TEST(Donar, SchedulerWrapperReportsTraffic) {
-  const auto problem = make_instance(5);
-  DonarScheduler scheduler;
-  const auto result = scheduler.schedule(problem);
-  EXPECT_TRUE(optim::check_feasibility(problem, result.allocation).ok(1e-5));
-  EXPECT_GT(result.rounds, 0u);
-  EXPECT_GT(result.bytes, 0u);
-  EXPECT_EQ(scheduler.name(), "DONAR");
-}
-
 TEST(Donar, EdrBeatsDonarOnCostUnderPriceSpread) {
   // DONAR optimizes network performance; with heterogeneous prices EDR must
   // win on energy cost (the paper's motivation for EDR over DONAR).
   for (std::uint64_t seed = 10; seed < 15; ++seed) {
     const auto problem = make_instance(seed);
-    core::LddmScheduler lddm;
-    DonarScheduler donar;
-    const double edr_cost =
-        problem.total_cost(lddm.schedule(problem).allocation);
-    const double donar_cost =
-        problem.total_cost(donar.schedule(problem).allocation);
+    core::LddmEngine lddm{problem};
+    DonarEngine donar{problem};
+    lddm.run();
+    donar.run();
+    const double edr_cost = problem.total_cost(lddm.solution());
+    const double donar_cost = problem.total_cost(donar.solution());
     EXPECT_LE(edr_cost, donar_cost * (1.0 + 1e-6)) << "seed " << seed;
   }
 }

@@ -5,6 +5,7 @@
 // one-shot backends must honor their rotation state.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/builtin_algorithms.hpp"
@@ -161,6 +162,23 @@ TEST(RoundRobinAlgorithm, RotationCursorCarriesAcrossEpochs) {
   EXPECT_EQ(first_hit[0], 0u);
   EXPECT_EQ(first_hit[1], 1u);
   EXPECT_EQ(first_hit[2], 2u);
+}
+
+TEST(CentralizedAlgorithm, ThrowsOnAnInfeasibleEpochProblem) {
+  // Admission control never hands a solver this instance (10 MB against a
+  // 1 MB replica); if one slips through, the backend must fail loudly
+  // rather than quietly serve some other policy's allocation.
+  FabricatedEpoch fab(1.0);
+  std::vector<optim::ReplicaParams> replicas(1);
+  replicas[0].bandwidth = 1.0;
+  fab.problem =
+      optim::Problem({10.0}, std::move(replicas), Matrix(1, 1, 0.5), 1.8);
+  fab.active_clients = {0};
+  fab.active_replicas = {0};
+  CentralizedAlgorithm algorithm;
+  const auto ctx = fab.context();
+  algorithm.begin_epoch(ctx);
+  EXPECT_THROW((void)algorithm.solve_oneshot(ctx), std::logic_error);
 }
 
 }  // namespace

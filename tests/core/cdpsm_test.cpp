@@ -35,12 +35,14 @@ TEST(Cdpsm, RejectsInfeasibleProblem) {
 }
 
 TEST(Cdpsm, EverySolutionIsFeasible) {
-  const auto problem = small_instance(41);
-  CdpsmEngine engine{problem};
-  for (int k = 0; k < 50; ++k) {
-    engine.round();
-    EXPECT_TRUE(optim::check_feasibility(problem, engine.solution()).ok(1e-5))
-        << "round " << k;
+  for (const auto& problem : {small_instance(41), small_instance(71, 12, 6)}) {
+    CdpsmEngine engine{problem};
+    for (int k = 0; k < 50; ++k) {
+      engine.round();
+      EXPECT_TRUE(
+          optim::check_feasibility(problem, engine.solution()).ok(1e-5))
+          << "round " << k;
+    }
   }
 }
 
@@ -131,19 +133,21 @@ TEST(Cdpsm, DiminishingStepConvergesSlower) {
 class CdpsmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CdpsmConvergence, ReachesCentralizedOptimum) {
-  const auto problem = small_instance(GetParam());
-  const auto central = optim::solve_centralized(problem);
-  ASSERT_TRUE(central.has_value());
+  for (const auto& problem :
+       {small_instance(GetParam()), small_instance(GetParam(), 12, 6)}) {
+    const auto central = optim::solve_centralized(problem);
+    ASSERT_TRUE(central.has_value());
 
-  CdpsmEngine engine{problem};
-  engine.run();
-  EXPECT_TRUE(engine.converged())
-      << "no convergence in " << engine.rounds_executed() << " rounds";
-  const auto solution = engine.solution();
-  EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-5));
-  EXPECT_LT(optim::relative_gap(problem, solution, central->cost), 5e-3)
-      << "cdpsm=" << problem.total_cost(solution)
-      << " central=" << central->cost;
+    CdpsmEngine engine{problem};
+    engine.run();
+    EXPECT_TRUE(engine.converged())
+        << "no convergence in " << engine.rounds_executed() << " rounds";
+    const auto solution = engine.solution();
+    EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-5));
+    EXPECT_LT(optim::relative_gap(problem, solution, central->cost), 5e-3)
+        << "cdpsm=" << problem.total_cost(solution)
+        << " central=" << central->cost;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CdpsmConvergence,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/cdpsm.hpp"
 #include "optim/flow.hpp"
 #include "optim/instance.hpp"
 #include "optim/kkt.hpp"
@@ -87,11 +88,13 @@ TEST(Lddm, ColumnsRespectCapacityAndMask) {
 }
 
 TEST(Lddm, SolutionAlwaysFeasible) {
-  const auto problem = small_instance(65);
-  LddmEngine engine{problem};
-  for (int k = 0; k < 40; ++k) {
-    engine.round();
-    EXPECT_TRUE(optim::check_feasibility(problem, engine.solution()).ok(1e-5));
+  for (const auto& problem : {small_instance(65), small_instance(71, 12, 6)}) {
+    LddmEngine engine{problem};
+    for (int k = 0; k < 40; ++k) {
+      engine.round();
+      EXPECT_TRUE(
+          optim::check_feasibility(problem, engine.solution()).ok(1e-5));
+    }
   }
 }
 
@@ -113,6 +116,20 @@ TEST(Lddm, LowerPerRoundTrafficThanCdpsm) {
   // CDPSM: 8 replicas x 7 peers x matrix(16x8).
   const std::size_t cdpsm_round_bytes = 8 * 7 * (8 + 8 * 16 * 8);
   EXPECT_LT(lddm_round_bytes * 10, cdpsm_round_bytes);
+
+  // The same gap in the engines' measured counters over full solves.
+  const auto measured = small_instance(73, 12, 6);
+  LddmEngine l{measured};
+  CdpsmEngine c{measured};
+  l.run();
+  c.run();
+  ASSERT_GT(l.rounds_executed(), 0u);
+  ASSERT_GT(c.rounds_executed(), 0u);
+  const double l_per_round = static_cast<double>(l.bytes_exchanged()) /
+                             static_cast<double>(l.rounds_executed());
+  const double c_per_round = static_cast<double>(c.bytes_exchanged()) /
+                             static_cast<double>(c.rounds_executed());
+  EXPECT_LT(l_per_round * 5.0, c_per_round);
 }
 
 TEST(Lddm, WarmStartReducesRounds) {
@@ -163,19 +180,21 @@ TEST(Lddm, MuStepFactorAcceleratesEarlyProgress) {
 class LddmConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LddmConvergence, ReachesCentralizedOptimum) {
-  const auto problem = small_instance(GetParam());
-  const auto central = optim::solve_centralized(problem);
-  ASSERT_TRUE(central.has_value());
+  for (const auto& problem :
+       {small_instance(GetParam()), small_instance(GetParam(), 12, 6)}) {
+    const auto central = optim::solve_centralized(problem);
+    ASSERT_TRUE(central.has_value());
 
-  LddmEngine engine{problem};
-  engine.run();
-  EXPECT_TRUE(engine.converged())
-      << "no convergence in " << engine.rounds_executed() << " rounds";
-  const auto solution = engine.solution();
-  EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-5));
-  EXPECT_LT(optim::relative_gap(problem, solution, central->cost), 5e-3)
-      << "lddm=" << problem.total_cost(solution)
-      << " central=" << central->cost;
+    LddmEngine engine{problem};
+    engine.run();
+    EXPECT_TRUE(engine.converged())
+        << "no convergence in " << engine.rounds_executed() << " rounds";
+    const auto solution = engine.solution();
+    EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-5));
+    EXPECT_LT(optim::relative_gap(problem, solution, central->cost), 5e-3)
+        << "lddm=" << problem.total_cost(solution)
+        << " central=" << central->cost;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LddmConvergence,

@@ -250,5 +250,54 @@ TEST_P(CentralizedPropertyTest, NoFeasiblePointBeatsTheSolver) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CentralizedPropertyTest,
                          ::testing::Range<std::uint64_t>(300, 310));
 
+TEST(RoundRobinAllocation, EqualSplitAcrossFeasibleReplicas) {
+  std::vector<Megabytes> demands{12.0};
+  std::vector<ReplicaParams> reps(3);
+  Matrix latency(1, 3, 0.5);
+  latency(0, 2) = 5.0;  // masked
+  Problem problem(demands, reps, latency, 1.8);
+  const auto allocation = round_robin_allocation(problem);
+  EXPECT_DOUBLE_EQ(allocation(0, 0), 6.0);
+  EXPECT_DOUBLE_EQ(allocation(0, 1), 6.0);
+  EXPECT_DOUBLE_EQ(allocation(0, 2), 0.0);
+}
+
+TEST(RoundRobinAllocation, IgnoresPrices) {
+  std::vector<Megabytes> demands{10.0};
+  std::vector<ReplicaParams> reps(2);
+  reps[0].price = 1.0;
+  reps[1].price = 20.0;
+  Matrix latency(1, 2, 0.5);
+  Problem problem(demands, reps, latency, 1.8);
+  const auto allocation = round_robin_allocation(problem);
+  EXPECT_DOUBLE_EQ(allocation(0, 0), allocation(0, 1));
+}
+
+TEST(RoundRobinAllocation, OverflowWaterfallsToSpareCapacity) {
+  std::vector<Megabytes> demands{30.0};
+  std::vector<ReplicaParams> reps(2);
+  reps[0].bandwidth = 5.0;   // equal share would be 15: overflows by 10
+  reps[1].bandwidth = 100.0;
+  Matrix latency(1, 2, 0.5);
+  Problem problem(demands, reps, latency, 1.8);
+  const auto allocation = round_robin_allocation(problem);
+  EXPECT_DOUBLE_EQ(allocation(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(allocation(0, 1), 25.0);
+  EXPECT_TRUE(check_feasibility(problem, allocation).ok(1e-9));
+}
+
+TEST(RoundRobinAllocation, FeasibleOnRandomInstances) {
+  for (std::uint64_t seed = 80; seed < 90; ++seed) {
+    Rng rng{seed};
+    InstanceOptions opts;
+    opts.num_clients = 12;
+    opts.num_replicas = 6;
+    const auto problem = make_random_instance(rng, opts);
+    const auto allocation = round_robin_allocation(problem);
+    EXPECT_TRUE(check_feasibility(problem, allocation).ok(1e-7))
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace edr::optim

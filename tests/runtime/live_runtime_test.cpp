@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -286,6 +287,31 @@ TEST(LiveCluster, TcpAgreesWithInprocOnEveryBackend) {
       ASSERT_EQ(ma.cols(), mb.cols());
       EXPECT_EQ(digest_matrix(ma), digest_matrix(mb));
     }
+  }
+}
+
+TEST(LiveCluster, LddmMatchesCentralUnderRealThreads) {
+  // One thread per replica over the in-process transport: LDDM must land
+  // within 5% of the central optimum on every epoch despite real
+  // scheduling nondeterminism (and, under TSan, without a data race).
+  // small_config's demand exceeds the pooled capacity, so admission
+  // control sheds every epoch down to a capacity-bound instance.
+  LocalCluster lddm{small_config("lddm", 3, 6, 3),
+                    fast_options(LiveTransport::kInproc)};
+  LocalCluster central{small_config("central", 3, 6, 3),
+                       fast_options(LiveTransport::kInproc)};
+  const LiveRunResult a = lddm.run();
+  const LiveRunResult b = central.run();
+  ASSERT_TRUE(a.completed);
+  ASSERT_TRUE(b.completed);
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
+    SCOPED_TRACE(e);
+    EXPECT_TRUE(a.epochs[e].digests_agree);
+    const double optimum = b.epochs[e].objective;
+    ASSERT_GT(optimum, 0.0);
+    EXPECT_LT(std::abs(a.epochs[e].objective - optimum) / optimum, 0.05)
+        << "lddm=" << a.epochs[e].objective << " central=" << optimum;
   }
 }
 
