@@ -189,9 +189,10 @@ void thread_sweep() {
 // windows, so 12.5% density and exactly 16 client equivalence classes) at
 // 10^3, 10^4 and 10^5 clients, across the three iterate representations.
 // Rounds are pinned (tolerance 0) so every timing covers identical work.
-// The dense path is capped at 10^4 clients: a dense 10^5 x 16 CDPSM round
-// sweeps 200 Dykstra iterations over 1.6M entries per replica and takes
-// minutes; that wall cliff is the point of the sparse representations.
+// The engines iterate on compact storage under every representation, so
+// dense and sparse time the same loop (dense only charges all-pairs
+// traffic); the dense column stays capped at 10^4 clients so the row set
+// matches the committed BENCH_abl_scaling.json baseline.
 
 double cdpsm_rep_wall_ms(const optim::Problem& problem,
                          core::SolverRepresentation representation,

@@ -145,9 +145,10 @@ int main(int argc, char** argv) {
   parser.add_flag("list-scenarios",
                   "print the builtin scenarios and exit", &list_scenarios);
   parser.add_option("representation",
-                    "solver iterate storage: dense (golden path) | sparse "
-                    "(latency-feasible pairs only) | aggregated (sparse + "
-                    "client equivalence classes)",
+                    "solver traffic model: dense (all-pairs traffic, warm "
+                    "start; golden path) | sparse (latency-feasible pairs "
+                    "only, same iterates) | aggregated (sparse + client "
+                    "equivalence classes)",
                     &representation);
   parser.add_option("simd",
                     "solver kernel dispatch: scalar (byte-pinned golden "

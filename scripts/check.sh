@@ -70,7 +70,7 @@ fi
 echo "telemetry overhead smoke: disabled-telemetry output bit-identical"
 
 echo
-echo "== bench baseline smoke (abl_scaling --json-out, schema vs committed) =="
+echo "== bench baseline smoke (abl_scaling + fig5 --json-out, schema and values vs committed) =="
 # Regenerate the scaling-bench metrics and compare their *schema* (metric
 # names, units, algorithm keys) against the committed BENCH_abl_scaling.json
 # baseline. A diff means a bench metric was renamed/dropped without
@@ -114,6 +114,20 @@ echo "bench baseline smoke: abl_scaling metric schema matches the baseline"
 bench_values BENCH_abl_scaling.json "$smoke_dir/BENCH_abl_scaling.json" \
   || { echo "bench baseline smoke FAILED: abl_scaling values drifted" >&2;
        exit 1; }
+# Fig 5 convergence: iterations and traffic to 1% of the optimum for every
+# engine, the optimum itself, and the multi-thread bit-identity verdict —
+# the engines' iterates and traffic models gated by value.
+"$fig5" "--json-out=$smoke_dir/BENCH_fig5_convergence.json" >/dev/null 2>&1
+bench_schema "$smoke_dir/BENCH_fig5_convergence.json" > "$smoke_dir/fig5.new"
+bench_schema BENCH_fig5_convergence.json > "$smoke_dir/fig5.committed"
+if ! diff -u "$smoke_dir/fig5.committed" "$smoke_dir/fig5.new"; then
+  echo "bench baseline smoke FAILED: metric schema drifted from" \
+       "BENCH_fig5_convergence.json — regenerate the committed baseline" >&2
+  exit 1
+fi
+bench_values BENCH_fig5_convergence.json \
+  "$smoke_dir/BENCH_fig5_convergence.json" \
+  || { echo "bench baseline smoke FAILED: fig5 values drifted" >&2; exit 1; }
 # Same schema check for the SIMD kernel microbenchmark, plus its built-in
 # cross-mode agreement verdict: a vectorized kernel that computes something
 # different from the scalar golden path must fail the pre-merge check even
@@ -166,11 +180,12 @@ bench_values BENCH_scenario_sweep.json "$smoke_dir/BENCH_scenario_sweep.json" \
 
 echo
 echo "== sparse smoke (dense vs sparse vs aggregated, all six backends) =="
-# The representation knob changes solver storage, never the answer: the
+# The representation knob picks the traffic model, never the answer: the
 # non-iterative backends (central, rr, donar) must produce byte-identical
 # JSON under all three representations; the iterative engines (lddm, cdpsm,
-# admm) follow tolerance-level-different trajectories, so their total cost
-# must agree to 2% relative. Then the 10^5-client scale test: the compact paths
+# admm) iterate bit for bit alike under dense and sparse but follow a
+# different trajectory on the aggregated classes, so their total cost must
+# agree to 2% relative. Then the 10^5-client scale test: the compact paths
 # must solve a geo-local instance the dense path cannot touch, inside the
 # wall budget pinned by the test itself.
 sparse_cost() {

@@ -16,9 +16,10 @@
 //    compact storage.
 //
 // Values on infeasible pairs are *structural* zeros: they do not exist, so
-// projections, gradients and wire frames never touch them.  The dense
-// Matrix path remains the golden path; these types are selected via the
-// SystemConfig representation knob (see DESIGN.md §12).
+// projections, gradients and wire frames never touch them.  The iterative
+// engines (CDPSM, LDDM, ADMM) keep all their iterates in these types; dense
+// Matrix allocations remain the currency of everything around them (see
+// DESIGN.md §12).
 #pragma once
 
 #include <cassert>

@@ -23,7 +23,6 @@ AdmmEngine::AdmmEngine(const optim::Problem& problem, AdmmOptions options)
     throw std::invalid_argument("AdmmEngine: adapt_threshold must be > 1");
   rho_ = options_.rho;
 
-  sparse_ = options_.representation != SolverRepresentation::kDense;
   work_ = problem_;
   if (options_.representation == SolverRepresentation::kAggregated) {
     aggregation_ = std::make_unique<ClientAggregation>(
@@ -37,35 +36,20 @@ AdmmEngine::AdmmEngine(const optim::Problem& problem, AdmmOptions options)
   if (!start)
     throw std::runtime_error("AdmmEngine: instance is not feasible");
 
-  const std::size_t clients = work_->num_clients();
+  const common::SparsityPattern& pattern = *work_->sparsity();
   const std::size_t replicas = work_->num_replicas();
-  zero_mu_.assign(clients, 0.0);
+  zero_mu_.assign(work_->num_clients(), 0.0);
   prox_scratch_.resize(replicas);
   column_scratch_.resize(replicas);
-  if (sparse_) {
-    const common::SparsityPattern& pattern = *work_->sparsity();
-    sparse_x_ = common::SparseAllocation(work_->sparsity());
-    sparse_z_ = common::SparseAllocation(work_->sparsity());
-    sparse_u_ = common::SparseAllocation(work_->sparsity());
-    sparse_z_prev_ = common::SparseAllocation(work_->sparsity());
-    sparse_z_.from_dense(*start);
-    for (std::size_t n = 0; n < replicas; ++n) {
-      const std::size_t size = pattern.col_nnz(n);
-      prox_scratch_[n].assign(size, 0.0);
-      column_scratch_[n].assign(size, 0.0);
-    }
-  } else {
-    x_.reshape(clients, replicas, 0.0);
-    z_ = *start;
-    u_.reshape(clients, replicas, 0.0);
-    z_prev_.reshape(clients, replicas, 0.0);
-    masks_.assign(replicas, std::vector<double>(clients, 0.0));
-    for (std::size_t n = 0; n < replicas; ++n) {
-      prox_scratch_[n].assign(clients, 0.0);
-      column_scratch_[n].assign(clients, 0.0);
-      for (std::size_t c = 0; c < clients; ++c)
-        masks_[n][c] = problem.feasible_pair(c, n) ? 1.0 : 0.0;
-    }
+  x_ = common::SparseAllocation(work_->sparsity());
+  z_ = common::SparseAllocation(work_->sparsity());
+  u_ = common::SparseAllocation(work_->sparsity());
+  z_prev_ = common::SparseAllocation(work_->sparsity());
+  z_.from_dense(*start);
+  for (std::size_t n = 0; n < replicas; ++n) {
+    const std::size_t size = pattern.col_nnz(n);
+    prox_scratch_[n].assign(size, 0.0);
+    column_scratch_[n].assign(size, 0.0);
   }
 }
 
@@ -80,42 +64,43 @@ common::ThreadPool* AdmmEngine::pool() const {
 }
 
 void AdmmEngine::set_state(const Matrix& z, const Matrix& u) {
-  if (sparse_)
-    throw std::logic_error("AdmmEngine::set_state: dense representation only");
+  if (aggregation_ != nullptr)
+    throw std::logic_error(
+        "AdmmEngine::set_state: not available under aggregation");
   if (rounds_ != 0)
     throw std::logic_error(
         "AdmmEngine::set_state: only valid before the first round");
-  if (z.rows() != z_.rows() || z.cols() != z_.cols() ||
-      u.rows() != u_.rows() || u.cols() != u_.cols())
+  const std::size_t clients = work_->num_clients();
+  const std::size_t replicas = work_->num_replicas();
+  if (z.rows() != clients || z.cols() != replicas || u.rows() != clients ||
+      u.cols() != replicas)
     throw std::invalid_argument("AdmmEngine::set_state: shape mismatch");
-  z_ = z;
-  u_ = u;
-  // Zero both on infeasible pairs (the warm carrier may hold stale mass
-  // there after a membership change) and restore demand feasibility — the
-  // x-update assumes its prox center came from a point in A.
-  for (std::size_t n = 0; n < z_.cols(); ++n)
-    for (std::size_t c = 0; c < z_.rows(); ++c)
-      if (masks_[n][c] == 0.0) {
-        z_(c, n) = 0.0;
-        u_(c, n) = 0.0;
-      }
+  // Keep only the feasible pairs (the warm carrier may hold stale mass
+  // elsewhere after a membership change) and restore demand feasibility —
+  // the x-update assumes its prox center came from a point in A.
+  z_.from_dense(z);
+  u_.from_dense(u);
   optim::project_demand_set(*work_, z_, nullptr, options_.simd);
 }
 
-void AdmmEngine::solve_replica(std::size_t n) {
-  // Prox center z_n − u_n; the subproblem enforces mask, nonnegativity and
-  // the capacity cap, so x_n lands in B_n exactly.
-  std::vector<double>& prox = prox_scratch_[n];
-  for (std::size_t c = 0; c < z_.rows(); ++c) prox[c] = z_(c, n) - u_(c, n);
-  optim::solve_replica_subproblem_into(work_->replica(n), zero_mu_, masks_[n],
-                                       prox, rho_, column_scratch_[n]);
-  for (std::size_t c = 0; c < z_.rows(); ++c) x_(c, n) = column_scratch_[n][c];
+Matrix AdmmEngine::consensus() const {
+  Matrix dense;
+  z_.to_dense(dense);
+  return dense;
 }
 
-void AdmmEngine::solve_replica_sparse(std::size_t n) {
+Matrix AdmmEngine::duals() const {
+  Matrix dense;
+  u_.to_dense(dense);
+  return dense;
+}
+
+void AdmmEngine::solve_replica(std::size_t n) {
+  // Prox center z_n − u_n; the subproblem enforces nonnegativity and the
+  // capacity cap, so x_n lands in B_n exactly.
   const auto positions = work_->sparsity()->col_positions(n);
-  const std::span<const double> z_values = sparse_z_.values();
-  const std::span<const double> u_values = sparse_u_.values();
+  const std::span<const double> z_values = z_.values();
+  const std::span<const double> u_values = u_.values();
   std::vector<double>& prox = prox_scratch_[n];
   for (std::size_t i = 0; i < positions.size(); ++i)
     prox[i] = z_values[positions[i]] - u_values[positions[i]];
@@ -123,7 +108,7 @@ void AdmmEngine::solve_replica_sparse(std::size_t n) {
       work_->replica(n),
       std::span<const double>(zero_mu_.data(), positions.size()), prox, rho_,
       column_scratch_[n]);
-  const std::span<double> x_values = sparse_x_.values();
+  const std::span<double> x_values = x_.values();
   for (std::size_t i = 0; i < positions.size(); ++i)
     x_values[positions[i]] = column_scratch_[n][i];
 }
@@ -142,12 +127,7 @@ AdmmRoundStats AdmmEngine::round() {
     // result is bitwise identical for every lane count.
     const auto solve_block = [this](std::size_t /*lane*/, std::size_t begin,
                                     std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) {
-        if (sparse_)
-          solve_replica_sparse(n);
-        else
-          solve_replica(n);
-      }
+      for (std::size_t n = begin; n < end; ++n) solve_replica(n);
     };
     if (common::ThreadPool* p = pool(); p != nullptr)
       p->for_blocks(replicas, solve_block);
@@ -157,29 +137,16 @@ AdmmRoundStats AdmmEngine::round() {
 
   telemetry::ScopedSpan consensus_span(*tracer_, "admm.consensus_update",
                                        "solver");
-  double primal = 0.0;
-  double dual = 0.0;
-  if (sparse_) {
-    sparse_z_prev_ = sparse_z_;  // copy-assign reuses the buffer
-    const std::span<double> z_values = sparse_z_.values();
-    const std::span<const double> x_values = sparse_x_.values();
-    std::copy(x_values.begin(), x_values.end(), z_values.begin());
-    common::simd::accumulate(options_.simd, z_values, sparse_u_.values());
-    optim::project_demand_set(*work_, sparse_z_, pool(), options_.simd);
-    common::simd::accumulate(options_.simd, sparse_u_.values(), x_values);
-    common::simd::axpy(options_.simd, sparse_u_.values(), -1.0, z_values);
-    primal = sparse_x_.distance(sparse_z_, options_.simd);
-    dual = rho_ * sparse_z_.distance(sparse_z_prev_, options_.simd);
-  } else {
-    z_prev_ = z_;
-    z_ = x_;
-    z_.axpy(1.0, u_, options_.simd);
-    optim::project_demand_set(*work_, z_, pool(), options_.simd);
-    u_.axpy(1.0, x_, options_.simd);
-    u_.axpy(-1.0, z_, options_.simd);
-    primal = x_.distance(z_, options_.simd);
-    dual = rho_ * z_.distance(z_prev_, options_.simd);
-  }
+  z_prev_ = z_;  // copy-assign reuses the buffer
+  const std::span<double> z_values = z_.values();
+  const std::span<const double> x_values = x_.values();
+  std::copy(x_values.begin(), x_values.end(), z_values.begin());
+  common::simd::accumulate(options_.simd, z_values, u_.values());
+  optim::project_demand_set(*work_, z_, pool(), options_.simd);
+  common::simd::accumulate(options_.simd, u_.values(), x_values);
+  common::simd::axpy(options_.simd, u_.values(), -1.0, z_values);
+  const double primal = x_.distance(z_, options_.simd);
+  const double dual = rho_ * z_.distance(z_prev_, options_.simd);
   stats.primal_residual = primal;
   stats.dual_residual = dual;
 
@@ -188,30 +155,24 @@ AdmmRoundStats AdmmEngine::round() {
   if (options_.adapt_rho) {
     if (primal > options_.adapt_threshold * dual) {
       rho_ *= options_.adapt_factor;
-      if (sparse_)
-        sparse_u_.scale(1.0 / options_.adapt_factor);
-      else
-        u_.scale(1.0 / options_.adapt_factor);
+      u_.scale(1.0 / options_.adapt_factor);
     } else if (dual > options_.adapt_threshold * primal) {
       rho_ /= options_.adapt_factor;
-      if (sparse_)
-        sparse_u_.scale(options_.adapt_factor);
-      else
-        u_.scale(options_.adapt_factor);
+      u_.scale(options_.adapt_factor);
     }
   }
   stats.rho = rho_;
 
   std::size_t round_messages = 2 * work_->num_clients() * replicas;
-  if (sparse_) {
+  if (options_.representation == SolverRepresentation::kDense) {
+    stats.bytes_exchanged = replicas * bytes_per_replica_round() +
+                            work_->num_clients() * bytes_per_client_round();
+  } else {
     // Client↔replica traffic exists only on feasible pairs: one compact
     // (row id, share) report and one consensus feedback per pair per round.
     const std::size_t nnz = work_->sparsity()->nnz();
     round_messages = 2 * nnz;
     stats.bytes_exchanged = 2 * nnz * (4 + 8);
-  } else {
-    stats.bytes_exchanged = replicas * bytes_per_replica_round() +
-                            work_->num_clients() * bytes_per_client_round();
   }
   messages_exchanged_ += round_messages;
   bytes_exchanged_ += stats.bytes_exchanged;
@@ -221,13 +182,8 @@ AdmmRoundStats AdmmEngine::round() {
   // Recovered solution (Z repaired to full feasibility) for the objective,
   // observability and the double buffer — same convention as the other
   // engines.
-  if (sparse_) {
-    solution_into_sparse(sparse_scratch_solution_);
-    stats.objective = work_->total_cost(sparse_scratch_solution_);
-  } else {
-    solution_into(scratch_solution_);
-    stats.objective = problem_->total_cost(scratch_solution_);
-  }
+  solution_into(scratch_solution_);
+  stats.objective = work_->total_cost(scratch_solution_);
   objective_metric_.set(stats.objective);
   primal_metric_.set(primal);
   dual_metric_.set(dual);
@@ -240,28 +196,15 @@ AdmmRoundStats AdmmEngine::round() {
       double load = 0.0;
       double previous_load = 0.0;
       double sq = 0.0;
-      if (sparse_) {
-        const auto positions = work_->sparsity()->col_positions(n);
-        const auto current_values = sparse_scratch_solution_.values();
-        const auto last_values = sparse_last_solution_.values();
-        for (const std::uint32_t p : positions) {
-          const double value = current_values[p];
-          const double prev = sparse_has_last_ ? last_values[p] : 0.0;
-          load += value;
-          previous_load += prev;
-          const double d = value - prev;
-          sq += d * d;
-        }
-      } else {
-        for (std::size_t c = 0; c < work_->num_clients(); ++c) {
-          const double value = scratch_solution_(c, n);
-          const double prev =
-              last_solution_.empty() ? 0.0 : last_solution_(c, n);
-          load += value;
-          previous_load += prev;
-          const double d = value - prev;
-          sq += d * d;
-        }
+      const auto current_values = scratch_solution_.values();
+      const auto last_values = last_solution_.values();
+      for (const std::uint32_t p : work_->sparsity()->col_positions(n)) {
+        const double value = current_values[p];
+        const double prev = has_last_ ? last_values[p] : 0.0;
+        load += value;
+        previous_load += prev;
+        const double d = value - prev;
+        sq += d * d;
       }
       replica.local_objective = optim::replica_cost(work_->replica(n), load);
       replica.movement = std::sqrt(sq);
@@ -280,12 +223,8 @@ AdmmRoundStats AdmmEngine::round() {
   } else {
     stable_rounds_ = 0;
   }
-  if (sparse_) {
-    std::swap(sparse_last_solution_, sparse_scratch_solution_);
-    sparse_has_last_ = true;
-  } else {
-    std::swap(last_solution_, scratch_solution_);
-  }
+  std::swap(last_solution_, scratch_solution_);
+  has_last_ = true;
   return stats;
 }
 
@@ -303,35 +242,15 @@ optim::ConvergenceTrace AdmmEngine::run() {
 }
 
 Matrix AdmmEngine::solution() const {
-  Matrix current;
-  if (sparse_) {
-    solution_into_sparse(sparse_solution_tmp_);
-    if (aggregation_ != nullptr) {
-      thread_local Matrix aggregated_dense;
-      sparse_solution_tmp_.to_dense(aggregated_dense);
-      expand_allocation(*aggregation_, aggregated_dense, current);
-    } else {
-      sparse_solution_tmp_.to_dense(current);
-    }
-    return current;
-  }
-  solution_into(current);
-  return current;
+  solution_into(solution_tmp_);
+  return expand_solution(solution_tmp_, aggregation_.get());
 }
 
-void AdmmEngine::solution_into(Matrix& out) const {
+void AdmmEngine::solution_into(common::SparseAllocation& out) const {
   // Z is demand-feasible by construction; Dykstra repairs the (vanishing)
   // capacity violation so the reported point is exactly feasible.
-  out = z_;
-  optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*problem_, out, dykstra);
-}
-
-void AdmmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
-  const std::span<const double> z_values = sparse_z_.values();
+  const std::span<const double> z_values = z_.values();
   std::copy(z_values.begin(), z_values.end(), out.values().begin());
   optim::DykstraOptions dykstra;
   dykstra.pool = pool();
@@ -352,24 +271,30 @@ void AdmmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {
 }
 
 std::size_t AdmmEngine::bytes_per_replica_round() const {
-  if (sparse_) {
-    // One (client id, share) pair per *feasible* client; per-replica
-    // traffic varies with the column population, so report the mean.
-    return work_->sparsity()->nnz() * (4 + 8) /
-           std::max<std::size_t>(work_->num_replicas(), 1);
+  if (options_.representation == SolverRepresentation::kDense) {
+    // One (client id, share) pair per client, shipped to that client.
+    return problem_->num_clients() * (4 + 8);
   }
-  // One (client id, share) pair per client, shipped to that client.
-  return problem_->num_clients() * (4 + 8);
+  // One (client id, share) pair per *feasible* client; per-replica traffic
+  // varies with the column population, so report the mean.
+  return work_->sparsity()->nnz() * (4 + 8) /
+         std::max<std::size_t>(work_->num_replicas(), 1);
 }
 
 std::size_t AdmmEngine::bytes_per_client_round() const {
-  if (sparse_) {
-    // Consensus feedback to each feasible replica; mean over clients.
-    return work_->sparsity()->nnz() * (4 + 8) /
-           std::max<std::size_t>(work_->num_clients(), 1);
+  if (options_.representation == SolverRepresentation::kDense) {
+    // Consensus feedback to every replica.
+    return problem_->num_replicas() * (4 + 8);
   }
-  // Consensus feedback to every replica.
-  return problem_->num_replicas() * (4 + 8);
+  // Consensus feedback to each feasible replica; mean over clients.
+  return work_->sparsity()->nnz() * (4 + 8) /
+         std::max<std::size_t>(work_->num_clients(), 1);
+}
+
+std::size_t AdmmEngine::reports_per_round(std::size_t n) const {
+  return options_.representation == SolverRepresentation::kDense
+             ? problem_->num_clients()
+             : work_->sparsity()->col_nnz(n);
 }
 
 }  // namespace edr::core

@@ -32,10 +32,11 @@
 // residuals below tolerance × demand scale for `patience` consecutive
 // rounds.
 //
-// The engine mirrors CdpsmEngine/LddmEngine: same representation knobs
-// (dense golden path, sparse, aggregated), same deterministic parallel
-// round contract (static block partitioning, ordered reductions), same
-// telemetry and observability surface.
+// The engine mirrors CdpsmEngine/LddmEngine: X, Z and U live on the
+// latency-feasible pairs only, the representation picks the traffic model
+// (and, for kAggregated, the class-aggregated work problem), and the same
+// deterministic parallel round contract (static block partitioning,
+// ordered reductions), telemetry and observability surface apply.
 #pragma once
 
 #include <cstddef>
@@ -79,9 +80,10 @@ struct AdmmOptions {
   /// path; every other value produces bitwise identical results (static
   /// block partitioning, disjoint column writes, ordered reductions).
   std::size_t threads = 1;
-  /// Iterate storage (see core/representation.hpp).  kDense is the golden
-  /// path; kSparse/kAggregated keep X, Z, U on the feasible pairs only and
-  /// run the maskless subproblem on the compact columns.
+  /// Traffic model and aggregation (see core/representation.hpp).  kDense
+  /// charges all |C|·|N| client↔replica pairs, kSparse only the feasible
+  /// ones; both iterate bit for bit alike.  kAggregated also solves on the
+  /// client equivalence classes.
   SolverRepresentation representation = SolverRepresentation::kDense;
   /// Kernel dispatch for the consensus/dual axpy sweeps, residual
   /// reductions and projection apply loops (common/simd.hpp).  kScalar —
@@ -130,16 +132,18 @@ class AdmmEngine {
   [[nodiscard]] Matrix solution() const;
 
   /// Warm-start the consensus iterate and scaled duals (e.g. from the
-  /// previous scheduling epoch); must be called before the first round.
-  /// Z is re-projected onto the demand set so the first x-update sees a
-  /// feasible prox center.  Dense representation only (throws
-  /// std::logic_error otherwise).
+  /// previous scheduling epoch) from |C|x|N| matrices; must be called before
+  /// the first round.  Entries on infeasible pairs are dropped, and Z is
+  /// re-projected onto the demand set so the first x-update sees a feasible
+  /// prox center.  Throws std::logic_error under kAggregated, whose rows
+  /// are classes.
   void set_state(const Matrix& z, const Matrix& u);
 
-  /// Current consensus iterate / scaled duals (dense representation only —
-  /// the warm-start carrier reads these at epoch end).
-  [[nodiscard]] const Matrix& consensus() const { return z_; }
-  [[nodiscard]] const Matrix& duals() const { return u_; }
+  /// Current consensus iterate / scaled duals as |C|x|N| matrices of the
+  /// work problem, zero on infeasible pairs (the warm-start carrier reads
+  /// these at epoch end).
+  [[nodiscard]] Matrix consensus() const;
+  [[nodiscard]] Matrix duals() const;
 
   /// The problem the rounds actually iterate on: the original instance for
   /// kDense/kSparse, the aggregated instance for kAggregated.
@@ -151,10 +155,13 @@ class AdmmEngine {
   }
 
   /// Bytes one replica sends to clients per round (its shares, one message
-  /// per client).
+  /// per client; the mean over replicas unless kDense).
   [[nodiscard]] std::size_t bytes_per_replica_round() const;
   /// Bytes one client sends to replicas per round (consensus feedback).
   [[nodiscard]] std::size_t bytes_per_client_round() const;
+  /// Share reports replica n sends per round: one per client under kDense,
+  /// one per feasible client of the work problem otherwise.
+  [[nodiscard]] std::size_t reports_per_round(std::size_t n) const;
 
   [[nodiscard]] const AdmmOptions& options() const { return options_; }
   [[nodiscard]] const optim::Problem& problem() const { return *problem_; }
@@ -192,17 +199,13 @@ class AdmmEngine {
  private:
   /// Replica n's x-update: prox center gather, local subproblem, scatter.
   void solve_replica(std::size_t n);
-  void solve_replica_sparse(std::size_t n);
-  void solution_into(Matrix& out) const;
-  void solution_into_sparse(common::SparseAllocation& out) const;
+  void solution_into(common::SparseAllocation& out) const;
   /// The pool the parallel regions should use this round: the external one
   /// when set, else a lazily built pool per options_.threads; null = serial.
   [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   AdmmOptions options_;
-  /// True iff representation != kDense — selects the compact round path.
-  bool sparse_ = false;
   /// kAggregated state: the class transform and the aggregated instance the
   /// rounds run on.  work_ points at aggregated_problem_ when aggregating,
   /// else at problem_.
@@ -224,18 +227,13 @@ class AdmmEngine {
   double rho_ = 1.0;
   bool collect_stats_ = false;
   std::vector<AdmmReplicaStats> replica_stats_;
-  // Dense iterates: X (replica-owned columns), Z (consensus), U (scaled
-  // duals), with Z double-buffered against z_prev_ for the dual residual.
-  Matrix x_;
-  Matrix z_;
-  Matrix u_;
-  Matrix z_prev_;
-  std::vector<std::vector<double>> masks_;  // per replica feasibility
-  // Compact-path counterparts over the work problem's pattern.
-  common::SparseAllocation sparse_x_;
-  common::SparseAllocation sparse_z_;
-  common::SparseAllocation sparse_u_;
-  common::SparseAllocation sparse_z_prev_;
+  // Iterates over the work problem's pattern: X (replica-owned columns),
+  // Z (consensus), U (scaled duals), with Z double-buffered against z_prev_
+  // for the dual residual.
+  common::SparseAllocation x_;
+  common::SparseAllocation z_;
+  common::SparseAllocation u_;
+  common::SparseAllocation z_prev_;
   // Per-replica x-update scratch, reused across rounds: the gathered prox
   // center z_n − u_n and the subproblem output column.
   std::vector<std::vector<double>> prox_scratch_;
@@ -245,12 +243,10 @@ class AdmmEngine {
   std::vector<double> zero_mu_;
   // Recovered solution double buffer for observability (same convention as
   // the other engines).
-  Matrix scratch_solution_;
-  Matrix last_solution_;
-  common::SparseAllocation sparse_scratch_solution_;
-  common::SparseAllocation sparse_last_solution_;
-  bool sparse_has_last_ = false;
-  mutable common::SparseAllocation sparse_solution_tmp_;
+  common::SparseAllocation scratch_solution_;
+  common::SparseAllocation last_solution_;
+  bool has_last_ = false;
+  mutable common::SparseAllocation solution_tmp_;
   std::size_t stable_rounds_ = 0;
   std::size_t rounds_ = 0;
   bool converged_ = false;

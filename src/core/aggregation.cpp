@@ -65,4 +65,17 @@ void expand_allocation(const ClientAggregation& agg, const Matrix& aggregated,
   }
 }
 
+Matrix expand_solution(const common::SparseAllocation& solution,
+                       const ClientAggregation* agg) {
+  Matrix dense;
+  if (agg == nullptr) {
+    solution.to_dense(dense);
+    return dense;
+  }
+  thread_local Matrix aggregated;
+  solution.to_dense(aggregated);
+  expand_allocation(*agg, aggregated, dense);
+  return dense;
+}
+
 }  // namespace edr::core

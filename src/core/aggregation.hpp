@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/sparse.hpp"
 #include "optim/problem.hpp"
 
 namespace edr::core {
@@ -68,5 +69,11 @@ struct ClientAggregation {
 /// num_clients x num_replicas.
 void expand_allocation(const ClientAggregation& agg, const Matrix& aggregated,
                        Matrix& out);
+
+/// The dense allocation over the original clients of an engine's compact
+/// solution: scattered as is when `agg` is null, fanned out by class share
+/// otherwise.
+[[nodiscard]] Matrix expand_solution(const common::SparseAllocation& solution,
+                                     const ClientAggregation* agg);
 
 }  // namespace edr::core

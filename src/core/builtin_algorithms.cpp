@@ -224,7 +224,6 @@ void LddmAlgorithm::observe(const EpochContext& ctx,
                             std::vector<telemetry::RoundSample>& out) {
   if (!engine_ || engine_->replica_stats().empty()) return;
   const auto& replicas = *ctx.active_replicas;
-  const std::size_t bytes = engine_->bytes_per_replica_round();
   for (std::size_t col = 0; col < replicas.size(); ++col) {
     const LddmReplicaStats& stats = engine_->replica_stats()[col];
     telemetry::RoundSample sample;
@@ -242,8 +241,10 @@ void LddmAlgorithm::observe(const EpochContext& ctx,
         ctx.problem->replica(col).bandwidth - stats.load;
     sample.load = stats.load;
     sample.load_delta = stats.load_delta;
-    sample.messages_sent = ctx.problem->num_clients();
-    sample.bytes_sent = bytes;
+    // The replica's own reports: one per client it exchanges with.
+    const std::size_t reports = engine_->reports_per_round(col);
+    sample.messages_sent = reports;
+    sample.bytes_sent = reports * (4 + 8);
     out.push_back(sample);
   }
 }
@@ -266,10 +267,18 @@ Matrix LddmAlgorithm::extract_allocation(const EpochContext& ctx) {
       warm_mu_[active_clients[row]] = engine_->multipliers()[row];
     if (warm_columns_.empty())
       warm_columns_ = Matrix(ctx.num_clients, ctx.num_replicas, 0.0);
-    for (std::size_t col = 0; col < active_replicas.size(); ++col)
-      for (std::size_t row = 0; row < active_clients.size(); ++row)
-        warm_columns_(active_clients[row], active_replicas[col]) =
-            engine_->column(col)[row];
+    // Scatter each compact column through the pattern; the active clients
+    // a replica cannot serve carry zero.
+    const common::SparsityPattern& pattern = *ctx.problem->sparsity();
+    for (std::size_t col = 0; col < active_replicas.size(); ++col) {
+      const std::size_t replica = active_replicas[col];
+      for (const std::size_t client : active_clients)
+        warm_columns_(client, replica) = 0.0;
+      const auto rows = pattern.col_rows(col);
+      const std::vector<double>& column = engine_->column(col);
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        warm_columns_(active_clients[rows[i]], replica) = column[i];
+    }
     warm_demand_total_ = ctx.problem->total_demand();
   }
   engine_.reset();
@@ -371,7 +380,6 @@ void AdmmAlgorithm::observe(const EpochContext& ctx,
                             std::vector<telemetry::RoundSample>& out) {
   if (!engine_ || engine_->replica_stats().empty()) return;
   const auto& replicas = *ctx.active_replicas;
-  const std::size_t bytes = engine_->bytes_per_replica_round();
   for (std::size_t col = 0; col < replicas.size(); ++col) {
     const AdmmReplicaStats& stats = engine_->replica_stats()[col];
     telemetry::RoundSample sample;
@@ -389,8 +397,10 @@ void AdmmAlgorithm::observe(const EpochContext& ctx,
         ctx.problem->replica(col).bandwidth - stats.load;
     sample.load = stats.load;
     sample.load_delta = stats.load_delta;
-    sample.messages_sent = ctx.problem->num_clients();
-    sample.bytes_sent = bytes;
+    // The replica's own reports: one per client it exchanges with.
+    const std::size_t reports = engine_->reports_per_round(col);
+    sample.messages_sent = reports;
+    sample.bytes_sent = reports * (4 + 8);
     out.push_back(sample);
   }
 }
@@ -405,8 +415,8 @@ Matrix AdmmAlgorithm::extract_allocation(const EpochContext& ctx) {
       warm_z_ = Matrix(ctx.num_clients, ctx.num_replicas, 0.0);
       warm_u_ = Matrix(ctx.num_clients, ctx.num_replicas, 0.0);
     }
-    const Matrix& z = engine_->consensus();
-    const Matrix& u = engine_->duals();
+    const Matrix z = engine_->consensus();
+    const Matrix u = engine_->duals();
     for (std::size_t row = 0; row < active_clients.size(); ++row)
       for (std::size_t col = 0; col < active_replicas.size(); ++col) {
         warm_z_(active_clients[row], active_replicas[col]) = z(row, col);

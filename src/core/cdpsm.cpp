@@ -11,22 +11,10 @@
 namespace edr::core {
 namespace {
 
-/// Project one column onto {q ≥ 0, Σq ≤ B_n}, leaving other columns alone.
-/// Thread-local scratch: runs inside the per-replica parallel round, up to
-/// 200 times per projection, so it must not allocate.
-void project_column_capacity(const optim::Problem& problem, std::size_t n,
-                             Matrix& allocation, common::simd::Mode simd) {
-  thread_local std::vector<double> column;
-  column.resize(problem.num_clients());
-  for (std::size_t c = 0; c < problem.num_clients(); ++c)
-    column[c] = allocation(c, n);
-  optim::project_capped_nonneg(column, problem.replica(n).bandwidth, simd);
-  for (std::size_t c = 0; c < problem.num_clients(); ++c)
-    allocation(c, n) = column[c];
-}
-
-/// Compact counterpart: project column n of a sparse allocation through the
-/// pattern's column view.
+/// Project column n onto {q ≥ 0, Σq ≤ B_n} through the pattern's column
+/// view, leaving other columns alone.  Thread-local scratch: runs inside
+/// the per-replica parallel round, up to 200 times per projection, so it
+/// must not allocate.
 void project_column_capacity(const optim::Problem& problem, std::size_t n,
                              common::SparseAllocation& allocation,
                              common::simd::Mode simd) {
@@ -48,7 +36,6 @@ CdpsmEngine::CdpsmEngine(const optim::Problem& problem, CdpsmOptions options)
   const std::string issue = problem.validate();
   if (!issue.empty())
     throw std::invalid_argument("CdpsmEngine: invalid problem: " + issue);
-  sparse_ = options_.representation != SolverRepresentation::kDense;
   work_ = problem_;
   if (options_.representation == SolverRepresentation::kAggregated) {
     aggregation_ = std::make_unique<ClientAggregation>(
@@ -63,20 +50,9 @@ CdpsmEngine::CdpsmEngine(const optim::Problem& problem, CdpsmOptions options)
   step_ = options_.step > 0.0
               ? options_.step
               : 1.0 / std::max(work_->gradient_lipschitz_bound(), 1e-9);
-  if (sparse_) {
-    common::SparseAllocation seed(work_->sparsity());
-    seed.from_dense(*start);
-    sparse_estimates_.assign(work_->num_replicas(), seed);
-  } else {
-    estimates_.assign(problem.num_replicas(), *start);
-  }
-}
-
-void CdpsmEngine::set_estimate(std::size_t n, Matrix estimate) {
-  if (sparse_)
-    throw std::logic_error(
-        "CdpsmEngine::set_estimate: dense representation only");
-  estimates_.at(n) = std::move(estimate);
+  common::SparseAllocation seed(work_->sparsity());
+  seed.from_dense(*start);
+  estimates_.assign(work_->num_replicas(), seed);
 }
 
 common::ThreadPool* CdpsmEngine::pool() const {
@@ -89,55 +65,13 @@ common::ThreadPool* CdpsmEngine::pool() const {
   return owned_pool_.get();
 }
 
-void CdpsmEngine::project_local(std::size_t n, Matrix& estimate) const {
+void CdpsmEngine::project_local(std::size_t n,
+                                common::SparseAllocation& estimate) const {
   // Dykstra between the shared demand set and this replica's capacity
-  // column — the projection onto X_n.  Thread-local scratch: this runs once
-  // per replica per round, inside a pool lane when the round is parallel,
-  // and must not re-allocate four |C|×|N| matrices each time.  The inner
-  // projections stay serial — the replica loop above already owns the lanes.
-  thread_local Matrix corr_demand;
-  thread_local Matrix corr_capacity;
-  thread_local Matrix previous;
-  thread_local Matrix before;
-  corr_demand.reshape(estimate.rows(), estimate.cols(), 0.0);
-  corr_capacity.reshape(estimate.rows(), estimate.cols(), 0.0);
-  previous = estimate;
-  for (std::size_t iter = 0; iter < 200; ++iter) {
-    estimate.axpy(1.0, corr_demand, options_.simd);
-    before = estimate;
-    optim::project_demand_set(*problem_, estimate, nullptr, options_.simd);
-    corr_demand = before;
-    corr_demand.axpy(-1.0, estimate, options_.simd);
-
-    estimate.axpy(1.0, corr_capacity, options_.simd);
-    before = estimate;
-    project_column_capacity(*problem_, n, estimate, options_.simd);
-    corr_capacity = before;
-    corr_capacity.axpy(-1.0, estimate, options_.simd);
-
-    const double change = estimate.distance(previous, options_.simd);
-    previous = estimate;
-    if (change <= 1e-11) break;
-  }
-  // End on the demand set so row sums are exact.
-  optim::project_demand_set(*problem_, estimate, nullptr, options_.simd);
-}
-
-Matrix CdpsmEngine::step_replica(std::size_t n,
-                                 std::span<const Matrix> peer_estimates,
-                                 CdpsmReplicaStats* stats) const {
-  if (sparse_)
-    throw std::logic_error(
-        "CdpsmEngine::step_replica: dense representation only");
-  Matrix consensus;
-  step_replica_into(n, peer_estimates, consensus, stats);
-  return consensus;
-}
-
-void CdpsmEngine::project_local_sparse(
-    std::size_t n, common::SparseAllocation& estimate) const {
-  // Same Dykstra scheme as project_local, with flat per-feasible-pair
-  // correction vectors instead of |C|×|N| matrices.
+  // column — the projection onto X_n — with flat per-feasible-pair
+  // correction vectors.  Thread-local scratch: this runs once per replica
+  // per round, inside a pool lane when the round is parallel.  The inner
+  // projections stay serial — the replica loop already owns the lanes.
   thread_local std::vector<double> corr_demand;
   thread_local std::vector<double> corr_capacity;
   thread_local std::vector<double> previous;
@@ -169,23 +103,19 @@ void CdpsmEngine::project_local_sparse(
   optim::project_demand_set(*work_, estimate, nullptr, options_.simd);
 }
 
-void CdpsmEngine::step_replica_into_sparse(
+void CdpsmEngine::update_replica(
     std::size_t n, std::span<const common::SparseAllocation> peer_estimates,
     common::SparseAllocation& out, CdpsmReplicaStats* stats) const {
-  if (peer_estimates.size() != sparse_estimates_.size())
-    throw std::invalid_argument(
-        "CdpsmEngine::step_replica: need one estimate per replica");
-
+  // Consensus with uniform weights a_j = 1/|N| (doubly stochastic on the
+  // complete exchange graph the paper uses).
   const double weight = 1.0 / static_cast<double>(peer_estimates.size());
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
   out.fill(0.0);
   for (const common::SparseAllocation& peer : peer_estimates)
     out.axpy(weight, peer, options_.simd);
 
-  // Gradient of the local objective E_n on the feasible entries of column n
-  // only — the dense path also steps the latency-masked entries (the
-  // projection re-zeroes them), so the iterates agree at tolerance level,
-  // not bitwise.
+  // Gradient of the *local* objective E_n: only column n's feasible
+  // entries are non-zero.
   const double load = out.col_sum(n);
   const double derivative =
       optim::replica_cost_derivative(work_->replica(n), load);
@@ -204,49 +134,9 @@ void CdpsmEngine::step_replica_into_sparse(
         std::sqrt(static_cast<double>(work_->num_clients()));
     thread_local std::vector<double> pre_projection;
     pre_projection.assign(values.begin(), values.end());
-    project_local_sparse(n, out);
+    project_local(n, out);
     stats->projection_correction =
         common::simd::distance(options_.simd, values, pre_projection);
-    stats->load = out.col_sum(n);
-    return;
-  }
-  project_local_sparse(n, out);
-}
-
-void CdpsmEngine::step_replica_into(std::size_t n,
-                                    std::span<const Matrix> peer_estimates,
-                                    Matrix& out,
-                                    CdpsmReplicaStats* stats) const {
-  if (peer_estimates.size() != estimates_.size())
-    throw std::invalid_argument(
-        "CdpsmEngine::step_replica: need one estimate per replica");
-
-  // Consensus with uniform weights a_j = 1/|N| (doubly stochastic on the
-  // complete exchange graph the paper uses).
-  const double weight = 1.0 / static_cast<double>(peer_estimates.size());
-  out.reshape(problem_->num_clients(), problem_->num_replicas(), 0.0);
-  for (const Matrix& peer : peer_estimates)
-    out.axpy(weight, peer, options_.simd);
-
-  // Gradient of the *local* objective E_n: only column n is non-zero.
-  const double load = out.col_sum(n);
-  const double derivative =
-      optim::replica_cost_derivative(problem_->replica(n), load);
-  const double step =
-      options_.diminishing_step
-          ? step_ / std::sqrt(static_cast<double>(rounds_ + 1))
-          : step_;
-  for (std::size_t c = 0; c < problem_->num_clients(); ++c)
-    out(c, n) -= step * derivative;
-
-  if (stats != nullptr) {
-    stats->local_objective = optim::replica_cost(problem_->replica(n), load);
-    stats->gradient_norm =
-        std::abs(derivative) *
-        std::sqrt(static_cast<double>(problem_->num_clients()));
-    const Matrix pre_projection = out;
-    project_local(n, out);
-    stats->projection_correction = out.distance(pre_projection, options_.simd);
     stats->load = out.col_sum(n);
     return;
   }
@@ -254,7 +144,7 @@ void CdpsmEngine::step_replica_into(std::size_t n,
 }
 
 CdpsmRoundStats CdpsmEngine::round() {
-  const std::size_t replicas = estimate_count();
+  const std::size_t replicas = estimates_.size();
   CdpsmRoundStats stats;
   stats.round = ++rounds_;
   rounds_metric_.add(1);
@@ -267,40 +157,21 @@ CdpsmRoundStats CdpsmEngine::round() {
     // replicas per lane.  Every lane reads the shared previous snapshot and
     // writes only its own estimate — disjoint writes, so the result is
     // bitwise identical for every lane count.
-    if (sparse_) {
-      sparse_previous_ = sparse_estimates_;  // copy-assign reuses scratch
-      const auto step_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                     std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n) {
-          step_replica_into_sparse(n, sparse_previous_, sparse_estimates_[n],
-                                   collect_stats_ ? &replica_stats_[n]
-                                                  : nullptr);
-          if (collect_stats_)
-            replica_stats_[n].load_delta =
-                replica_stats_[n].load - sparse_previous_[n].col_sum(n);
-        }
-      };
-      if (common::ThreadPool* p = pool(); p != nullptr)
-        p->for_blocks(replicas, step_block);
-      else
-        step_block(0, 0, replicas);
-    } else {
-      previous_estimates_ = estimates_;
-      const auto step_block = [this](std::size_t /*lane*/, std::size_t begin,
-                                     std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n) {
-          step_replica_into(n, previous_estimates_, estimates_[n],
-                            collect_stats_ ? &replica_stats_[n] : nullptr);
-          if (collect_stats_)
-            replica_stats_[n].load_delta =
-                replica_stats_[n].load - previous_estimates_[n].col_sum(n);
-        }
-      };
-      if (common::ThreadPool* p = pool(); p != nullptr)
-        p->for_blocks(replicas, step_block);
-      else
-        step_block(0, 0, replicas);
-    }
+    previous_estimates_ = estimates_;  // copy-assign reuses scratch
+    const auto step_block = [this](std::size_t /*lane*/, std::size_t begin,
+                                   std::size_t end) {
+      for (std::size_t n = begin; n < end; ++n) {
+        update_replica(n, previous_estimates_, estimates_[n],
+                       collect_stats_ ? &replica_stats_[n] : nullptr);
+        if (collect_stats_)
+          replica_stats_[n].load_delta =
+              replica_stats_[n].load - previous_estimates_[n].col_sum(n);
+      }
+    };
+    if (common::ThreadPool* p = pool(); p != nullptr)
+      p->for_blocks(replicas, step_block);
+    else
+      step_block(0, 0, replicas);
   }
 
   // Reductions stay serial and in index order (part of the determinism
@@ -309,15 +180,11 @@ CdpsmRoundStats CdpsmEngine::round() {
   for (std::size_t n = 0; n < replicas; ++n) {
     stats.movement = std::max(
         stats.movement,
-        sparse_
-            ? sparse_estimates_[n].distance(sparse_previous_[n], options_.simd)
-            : estimates_[n].distance(previous_estimates_[n], options_.simd));
+        estimates_[n].distance(previous_estimates_[n], options_.simd));
     for (std::size_t m = n + 1; m < replicas; ++m)
-      stats.disagreement = std::max(
-          stats.disagreement,
-          sparse_ ? sparse_estimates_[n].distance(sparse_estimates_[m],
-                                                  options_.simd)
-                  : estimates_[n].distance(estimates_[m], options_.simd));
+      stats.disagreement =
+          std::max(stats.disagreement,
+                   estimates_[n].distance(estimates_[m], options_.simd));
   }
   stats.bytes_exchanged = bytes_per_replica_round() * replicas;
   messages_exchanged_ += replicas * (replicas - 1);
@@ -327,26 +194,16 @@ CdpsmRoundStats CdpsmEngine::round() {
 
   telemetry::ScopedSpan recover_span(*tracer_, "cdpsm.recover", "solver");
   const double scale = std::max(problem_->total_demand(), 1.0);
-  if (sparse_) {
-    solution_into_sparse(sparse_scratch_solution_);
-    // The aggregated objective equals the disaggregated one (the fan-out
-    // preserves column sums), so this is the true E_g either way.
-    stats.objective = work_->total_cost(sparse_scratch_solution_);
-  } else {
-    solution_into(scratch_solution_);
-    stats.objective = problem_->total_cost(scratch_solution_);
-  }
+  solution_into(scratch_solution_);
+  // The aggregated objective equals the disaggregated one (the fan-out
+  // preserves column sums), so this is the true E_g either way.
+  stats.objective = work_->total_cost(scratch_solution_);
   objective_metric_.set(stats.objective);
   disagreement_metric_.set(stats.disagreement);
   movement_metric_.set(stats.movement);
   const bool stable =
-      sparse_ ? (sparse_has_last_ &&
-                 sparse_scratch_solution_.distance(
-                     sparse_last_solution_, options_.simd) <=
-                     options_.tolerance * scale)
-              : (!last_solution_.empty() &&
-                 scratch_solution_.distance(last_solution_, options_.simd) <=
-                     options_.tolerance * scale);
+      has_last_ && scratch_solution_.distance(last_solution_, options_.simd) <=
+                       options_.tolerance * scale;
   if (stable) {
     if (++stable_rounds_ >= options_.patience) converged_ = true;
   } else {
@@ -354,12 +211,8 @@ CdpsmRoundStats CdpsmEngine::round() {
   }
   // Double-buffer: the new solution becomes last_solution_, the old buffer
   // becomes next round's scratch.
-  if (sparse_) {
-    std::swap(sparse_last_solution_, sparse_scratch_solution_);
-    sparse_has_last_ = true;
-  } else {
-    std::swap(last_solution_, scratch_solution_);
-  }
+  std::swap(last_solution_, scratch_solution_);
+  has_last_ = true;
   return stats;
 }
 
@@ -376,38 +229,15 @@ optim::ConvergenceTrace CdpsmEngine::run() {
 }
 
 Matrix CdpsmEngine::solution() const {
-  Matrix mean;
-  if (sparse_) {
-    solution_into_sparse(sparse_solution_tmp_);
-    if (aggregation_ != nullptr) {
-      thread_local Matrix aggregated_dense;
-      sparse_solution_tmp_.to_dense(aggregated_dense);
-      expand_allocation(*aggregation_, aggregated_dense, mean);
-    } else {
-      sparse_solution_tmp_.to_dense(mean);
-    }
-    return mean;
-  }
-  solution_into(mean);
-  return mean;
+  solution_into(solution_tmp_);
+  return expand_solution(solution_tmp_, aggregation_.get());
 }
 
-void CdpsmEngine::solution_into(Matrix& out) const {
-  const double weight = 1.0 / static_cast<double>(estimates_.size());
-  out.reshape(problem_->num_clients(), problem_->num_replicas(), 0.0);
-  for (const Matrix& estimate : estimates_)
-    out.axpy(weight, estimate, options_.simd);
-  optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*problem_, out, dykstra);
-}
-
-void CdpsmEngine::solution_into_sparse(common::SparseAllocation& out) const {
+void CdpsmEngine::solution_into(common::SparseAllocation& out) const {
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
-  const double weight = 1.0 / static_cast<double>(sparse_estimates_.size());
+  const double weight = 1.0 / static_cast<double>(estimates_.size());
   out.fill(0.0);
-  for (const common::SparseAllocation& estimate : sparse_estimates_)
+  for (const common::SparseAllocation& estimate : estimates_)
     out.axpy(weight, estimate, options_.simd);
   optim::DykstraOptions dykstra;
   dykstra.pool = pool();
@@ -427,17 +257,17 @@ void CdpsmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {
 }
 
 std::size_t CdpsmEngine::bytes_per_replica_round() const {
-  if (sparse_) {
-    // Compact frames: one (position, value) pair per feasible pair of the
-    // work problem, to every peer.  Aggregation shrinks this further — the
-    // aggregated pattern has one row per equivalence class.
-    return net::wire_size_indexed_doubles(work_->sparsity()->nnz()) *
-           (sparse_estimates_.size() - 1);
+  if (options_.representation == SolverRepresentation::kDense) {
+    // Each replica ships its full |C|x|N| estimate to every other replica —
+    // the O(|C|·|N|³) total the paper charges CDPSM with.
+    return net::wire_size_matrix(problem_->num_clients(),
+                                 problem_->num_replicas()) *
+           (estimates_.size() - 1);
   }
-  // Each replica ships its full |C|x|N| estimate to every other replica —
-  // the O(|C|·|N|³) total the paper charges CDPSM with.
-  return net::wire_size_matrix(problem_->num_clients(),
-                               problem_->num_replicas()) *
+  // Compact frames: one (position, value) pair per feasible pair of the
+  // work problem, to every peer.  Aggregation shrinks this further — the
+  // aggregated pattern has one row per equivalence class.
+  return net::wire_size_indexed_doubles(work_->sparsity()->nnz()) *
          (estimates_.size() - 1);
 }
 

@@ -10,10 +10,10 @@
 // simplices plus its *own* capacity column (the sets' intersection over n
 // is the global feasible set, as the convergence theory requires).
 //
-// The engine is a pure synchronous state machine: step_replica() advances
-// one replica given its peers' previous estimates, so the same math runs
-// standalone (tests, Fig 5) and inside the message-driven simulator agents
-// (which charge each estimate exchange to the network).
+// Estimates are stored compactly — one value per latency-feasible pair,
+// the only entries that are variables — whatever the representation; the
+// representation only picks the frame size the rounds charge (and, for
+// kAggregated, the class-aggregated work problem).
 #pragma once
 
 #include <cstddef>
@@ -55,12 +55,10 @@ struct CdpsmOptions {
   /// exact historical serial path; every other value produces bitwise
   /// identical results (static block partitioning, ordered reductions).
   std::size_t threads = 1;
-  /// Iterate storage (see core/representation.hpp).  kDense is the golden
-  /// path, byte-identical to the historical behavior.  kSparse/kAggregated
-  /// keep the estimates on the feasible pairs only; the recovered solution
-  /// agrees with the dense one at solver-tolerance level (the dense
-  /// gradient also steps latency-masked entries before the projection
-  /// re-zeroes them; the compact path never materializes them).
+  /// Traffic model and aggregation (see core/representation.hpp).  kDense
+  /// charges a full |C|x|N| matrix frame per estimate, kSparse an indexed
+  /// frame over the feasible pairs; both iterate bit for bit alike.
+  /// kAggregated also solves on the client equivalence classes.
   SolverRepresentation representation = SolverRepresentation::kDense;
   /// Kernel dispatch for the consensus axpy, projection apply loops and
   /// distance reductions (common/simd.hpp).  kScalar — the default — is the
@@ -96,13 +94,6 @@ class CdpsmEngine {
     return problem_->num_replicas();
   }
 
-  /// Replica n's current estimate.  Dense representation only — the sparse
-  /// paths keep compact estimates (use solution() for the recovered point).
-  [[nodiscard]] const Matrix& estimate(std::size_t n) const {
-    return estimates_[n];
-  }
-  void set_estimate(std::size_t n, Matrix estimate);
-
   /// The problem the rounds actually iterate on: the original instance for
   /// kDense/kSparse, the aggregated instance for kAggregated.
   [[nodiscard]] const optim::Problem& work_problem() const { return *work_; }
@@ -111,15 +102,6 @@ class CdpsmEngine {
   [[nodiscard]] const ClientAggregation* aggregation() const {
     return aggregation_.get();
   }
-
-  /// Pure per-replica update: consensus over `peer_estimates` (all replicas'
-  /// round-k estimates, uniform weights a_j = 1/|N|), local gradient step,
-  /// projection onto X_n.  Does not mutate engine state.  `stats`, when
-  /// non-null, receives the replica's observability view of the step
-  /// (load_delta excluded — only round() knows the previous load).
-  [[nodiscard]] Matrix step_replica(std::size_t n,
-                                    std::span<const Matrix> peer_estimates,
-                                    CdpsmReplicaStats* stats = nullptr) const;
 
   /// One synchronous round over all replicas (the standalone driver).
   CdpsmRoundStats round();
@@ -135,7 +117,8 @@ class CdpsmEngine {
   /// consensus tolerance).
   [[nodiscard]] Matrix solution() const;
 
-  /// Bytes a single replica sends per round (its estimate to each peer).
+  /// Bytes a single replica sends per round (its estimate to each peer, as
+  /// a matrix frame under kDense, an indexed frame otherwise).
   [[nodiscard]] std::size_t bytes_per_replica_round() const;
 
   [[nodiscard]] const CdpsmOptions& options() const { return options_; }
@@ -172,31 +155,24 @@ class CdpsmEngine {
   }
 
  private:
-  void project_local(std::size_t n, Matrix& estimate) const;
-  /// step_replica writing into a caller-owned matrix (round() reuses one
-  /// per replica).  `out` must not alias any entry of `peer_estimates`.
-  void step_replica_into(std::size_t n, std::span<const Matrix> peer_estimates,
-                         Matrix& out, CdpsmReplicaStats* stats) const;
-  void solution_into(Matrix& out) const;
-  /// Compact-path counterparts (representation != kDense): identical round
-  /// structure on the feasible-pair storage of the work problem.
-  void project_local_sparse(std::size_t n,
-                            common::SparseAllocation& estimate) const;
-  void step_replica_into_sparse(
+  /// Dykstra projection of an estimate onto X_n.
+  void project_local(std::size_t n, common::SparseAllocation& estimate) const;
+  /// Replica n's update: consensus over `peer_estimates` (all replicas'
+  /// round-k estimates, uniform weights a_j = 1/|N|), local gradient step,
+  /// projection onto X_n, written into `out` (which must not alias any
+  /// peer estimate).  `stats`, when non-null, receives the replica's
+  /// observability view of the step (load_delta excluded — only round()
+  /// knows the previous load).
+  void update_replica(
       std::size_t n, std::span<const common::SparseAllocation> peer_estimates,
       common::SparseAllocation& out, CdpsmReplicaStats* stats) const;
-  void solution_into_sparse(common::SparseAllocation& out) const;
-  [[nodiscard]] std::size_t estimate_count() const {
-    return sparse_ ? sparse_estimates_.size() : estimates_.size();
-  }
+  void solution_into(common::SparseAllocation& out) const;
   /// The pool the parallel regions should use this round: the external one
   /// when set, else a lazily built pool per options_.threads; null = serial.
   [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   CdpsmOptions options_;
-  /// True iff representation != kDense — selects the compact round path.
-  bool sparse_ = false;
   /// kAggregated state: the class transform and the aggregated instance the
   /// rounds run on.  work_ points at aggregated_problem_ when aggregating,
   /// else at problem_.
@@ -217,20 +193,15 @@ class CdpsmEngine {
   double step_ = 0.0;
   bool collect_stats_ = false;
   std::vector<CdpsmReplicaStats> replica_stats_;
-  std::vector<Matrix> estimates_;
+  std::vector<common::SparseAllocation> estimates_;
   // Round scratch, reused across rounds so the hot loop stays off the heap:
   // the previous-round snapshot the consensus step reads, and the recovered
   // solution double-buffered against last_solution_.
-  std::vector<Matrix> previous_estimates_;
-  Matrix scratch_solution_;
-  Matrix last_solution_;
-  // Compact-path counterparts of the estimate/round-scratch state above.
-  std::vector<common::SparseAllocation> sparse_estimates_;
-  std::vector<common::SparseAllocation> sparse_previous_;
-  common::SparseAllocation sparse_scratch_solution_;
-  common::SparseAllocation sparse_last_solution_;
-  bool sparse_has_last_ = false;
-  mutable common::SparseAllocation sparse_solution_tmp_;
+  std::vector<common::SparseAllocation> previous_estimates_;
+  common::SparseAllocation scratch_solution_;
+  common::SparseAllocation last_solution_;
+  bool has_last_ = false;
+  mutable common::SparseAllocation solution_tmp_;
   std::size_t stable_rounds_ = 0;
   std::size_t rounds_ = 0;
   bool converged_ = false;

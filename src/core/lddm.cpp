@@ -18,7 +18,6 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
   if (options_.rho <= 0.0)
     throw std::invalid_argument("LddmEngine: rho must be > 0");
 
-  sparse_ = options_.representation != SolverRepresentation::kDense;
   work_ = problem_;
   if (options_.representation == SolverRepresentation::kAggregated) {
     aggregation_ = std::make_unique<ClientAggregation>(
@@ -50,30 +49,19 @@ LddmEngine::LddmEngine(const optim::Problem& problem, LddmOptions options)
     mu_.assign(clients, options_.initial_mu);
   }
 
-  if (sparse_) {
-    // Compact columns: one entry per feasible client, in the pattern's
-    // ascending-row column order.  No masks — infeasible entries don't
-    // exist in this storage.
-    const common::SparsityPattern& pattern = *work_->sparsity();
-    columns_.resize(replicas);
-    average_.resize(replicas);
-    solve_scratch_.resize(replicas);
-    mu_gather_.resize(replicas);
-    for (std::size_t n = 0; n < replicas; ++n) {
-      const std::size_t size = pattern.col_nnz(n);
-      columns_[n].assign(size, 0.0);
-      average_[n].assign(size, 0.0);
-      solve_scratch_[n].assign(size, 0.0);
-      mu_gather_[n].assign(size, 0.0);
-    }
-  } else {
-    columns_.assign(replicas, std::vector<double>(clients, 0.0));
-    average_.assign(replicas, std::vector<double>(clients, 0.0));
-    masks_.assign(replicas, std::vector<double>(clients, 0.0));
-    solve_scratch_.assign(replicas, std::vector<double>(clients, 0.0));
-    for (std::size_t n = 0; n < replicas; ++n)
-      for (std::size_t c = 0; c < clients; ++c)
-        masks_[n][c] = problem.feasible_pair(c, n) ? 1.0 : 0.0;
+  // Compact columns: one entry per feasible client, in the pattern's
+  // ascending-row column order — infeasible entries don't exist.
+  const common::SparsityPattern& pattern = *work_->sparsity();
+  columns_.resize(replicas);
+  average_.resize(replicas);
+  solve_scratch_.resize(replicas);
+  mu_gather_.resize(replicas);
+  for (std::size_t n = 0; n < replicas; ++n) {
+    const std::size_t size = pattern.col_nnz(n);
+    columns_[n].assign(size, 0.0);
+    average_[n].assign(size, 0.0);
+    solve_scratch_[n].assign(size, 0.0);
+    mu_gather_[n].assign(size, 0.0);
   }
 }
 
@@ -87,33 +75,18 @@ common::ThreadPool* LddmEngine::pool() const {
   return owned_pool_.get();
 }
 
-std::vector<double> LddmEngine::solve_local(
-    std::size_t n, std::span<const double> multipliers) {
-  solve_local_inplace(n, multipliers);
-  return columns_[n];
-}
-
-void LddmEngine::solve_local_inplace(std::size_t n,
-                                     std::span<const double> multipliers) {
-  // Solve into the per-replica scratch, then swap: the current column is
-  // the prox center, which the bisection re-reads throughout, so a true
-  // in-place solve is not possible — but the swap keeps this allocation-
-  // free after the first round.
-  if (sparse_) {
-    // Gather the multipliers of this replica's feasible clients and run the
-    // maskless compact subproblem.
-    const auto rows = work_->sparsity()->col_rows(n);
-    std::vector<double>& gathered = mu_gather_[n];
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      gathered[i] = multipliers[rows[i]];
-    optim::solve_replica_subproblem_into(work_->replica(n), gathered,
-                                         columns_[n], options_.rho,
-                                         solve_scratch_[n]);
-  } else {
-    optim::solve_replica_subproblem_into(problem_->replica(n), multipliers,
-                                         masks_[n], columns_[n], options_.rho,
-                                         solve_scratch_[n]);
-  }
+void LddmEngine::solve_column(std::size_t n) {
+  // Gather the multipliers of this replica's feasible clients, then solve
+  // into the per-replica scratch and swap: the current column is the prox
+  // center, which the bisection re-reads throughout, so a true in-place
+  // solve is not possible — but the swap keeps this allocation-free after
+  // the first round.
+  const auto rows = work_->sparsity()->col_rows(n);
+  std::vector<double>& gathered = mu_gather_[n];
+  for (std::size_t i = 0; i < rows.size(); ++i) gathered[i] = mu_[rows[i]];
+  optim::solve_replica_subproblem_into(work_->replica(n), gathered,
+                                       columns_[n], options_.rho,
+                                       solve_scratch_[n]);
   std::swap(columns_[n], solve_scratch_[n]);
   // Running average for primal recovery (Cesàro average of iterates).
   const double k = static_cast<double>(rounds_ + 1);
@@ -130,21 +103,22 @@ void LddmEngine::set_multipliers(std::span<const double> mu) {
 }
 
 void LddmEngine::set_column_state(std::size_t n,
-                                  std::span<const double> column) {
-  if (sparse_)
+                                  std::span<const double> per_client) {
+  if (aggregation_ != nullptr)
     throw std::logic_error(
-        "LddmEngine::set_column_state: dense representation only");
+        "LddmEngine::set_column_state: not available under aggregation");
   if (n >= columns_.size())
     throw std::out_of_range("LddmEngine::set_column_state: bad replica");
-  if (column.size() != columns_[n].size())
+  if (per_client.size() != work_->num_clients())
     throw std::invalid_argument("LddmEngine::set_column_state: size mismatch");
   if (rounds_ != 0)
     throw std::logic_error(
         "LddmEngine::set_column_state: only valid before the first round");
-  for (std::size_t c = 0; c < column.size(); ++c) {
-    const double value = masks_[n][c] != 0.0 ? std::max(column[c], 0.0) : 0.0;
-    columns_[n][c] = value;
-    average_[n][c] = value;
+  const auto rows = work_->sparsity()->col_rows(n);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double value = std::max(per_client[rows[i]], 0.0);
+    columns_[n][i] = value;
+    average_[n][i] = value;
   }
 }
 
@@ -169,7 +143,7 @@ LddmRoundStats LddmEngine::round() {
     // count.
     const auto solve_block = [this](std::size_t /*lane*/, std::size_t begin,
                                     std::size_t end) {
-      for (std::size_t n = begin; n < end; ++n) solve_local_inplace(n, mu_);
+      for (std::size_t n = begin; n < end; ++n) solve_column(n);
     };
     if (common::ThreadPool* p = pool(); p != nullptr)
       p->for_blocks(replicas, solve_block);
@@ -181,17 +155,10 @@ LddmRoundStats LddmEngine::round() {
   // the summation order of served[c] is part of the determinism contract.
   telemetry::ScopedSpan dual_span(*tracer_, "lddm.dual_update", "solver");
   served_.assign(clients, 0.0);
-  if (sparse_) {
-    // Same n-outer accumulation order as the dense sweep; the skipped
-    // entries are exact zeros there.
-    for (std::size_t n = 0; n < replicas; ++n) {
-      const auto rows = work_->sparsity()->col_rows(n);
-      for (std::size_t i = 0; i < rows.size(); ++i)
-        served_[rows[i]] += columns_[n][i];
-    }
-  } else {
-    for (std::size_t n = 0; n < replicas; ++n)
-      common::simd::accumulate(options_.simd, served_, columns_[n]);
+  for (std::size_t n = 0; n < replicas; ++n) {
+    const auto rows = work_->sparsity()->col_rows(n);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      served_[rows[i]] += columns_[n][i];
   }
   for (std::size_t c = 0; c < clients; ++c) {
     update_multiplier(c, served_[c]);
@@ -200,9 +167,6 @@ LddmRoundStats LddmEngine::round() {
   }
 
   for (std::size_t n = 0; n < replicas; ++n) {
-    // Compact columns hold col_nnz(n) entries, dense ones `clients`; the
-    // skipped infeasible entries are exact zeros in dense storage, so the
-    // movement norm is identical either way.
     stats.movement = std::max(
         stats.movement, common::simd::distance(options_.simd, columns_[n],
                                                previous_columns_[n]));
@@ -210,15 +174,15 @@ LddmRoundStats LddmEngine::round() {
 
   stats.round = ++rounds_;
   std::size_t round_messages = 2 * clients * replicas;
-  if (sparse_) {
+  if (options_.representation == SolverRepresentation::kDense) {
+    stats.bytes_exchanged = replicas * bytes_per_replica_round() +
+                            clients * bytes_per_client_round();
+  } else {
     // Client↔replica traffic exists only on feasible pairs: one compact
     // (row id, load) report and one μ update per pair per round.
     const std::size_t nnz = work_->sparsity()->nnz();
     round_messages = 2 * nnz;
     stats.bytes_exchanged = 2 * nnz * (4 + 8);
-  } else {
-    stats.bytes_exchanged = replicas * bytes_per_replica_round() +
-                            clients * bytes_per_client_round();
   }
   messages_exchanged_ += round_messages;
   bytes_exchanged_ += stats.bytes_exchanged;
@@ -227,15 +191,10 @@ LddmRoundStats LddmEngine::round() {
   bytes_metric_.add(stats.bytes_exchanged);
 
   // Convergence: the recovered solution stops moving for `patience` rounds.
-  if (sparse_) {
-    solution_into_sparse(sparse_scratch_solution_);
-    // The aggregated objective equals the disaggregated one (the fan-out
-    // preserves column sums), so this is the true E_g either way.
-    stats.objective = work_->total_cost(sparse_scratch_solution_);
-  } else {
-    solution_into(scratch_solution_);
-    stats.objective = problem_->total_cost(scratch_solution_);
-  }
+  solution_into(scratch_solution_);
+  // The aggregated objective equals the disaggregated one (the fan-out
+  // preserves column sums), so this is the true E_g either way.
+  stats.objective = work_->total_cost(scratch_solution_);
   objective_metric_.set(stats.objective);
   residual_metric_.set(stats.demand_residual);
   movement_metric_.set(stats.movement);
@@ -249,28 +208,15 @@ LddmRoundStats LddmEngine::round() {
       double load = 0.0;
       double previous_load = 0.0;
       double sq = 0.0;
-      if (sparse_) {
-        const auto positions = work_->sparsity()->col_positions(n);
-        const auto current_values = sparse_scratch_solution_.values();
-        const auto last_values = sparse_last_solution_.values();
-        for (const std::uint32_t p : positions) {
-          const double value = current_values[p];
-          const double prev = sparse_has_last_ ? last_values[p] : 0.0;
-          load += value;
-          previous_load += prev;
-          const double d = value - prev;
-          sq += d * d;
-        }
-      } else {
-        for (std::size_t c = 0; c < clients; ++c) {
-          const double value = scratch_solution_(c, n);
-          const double prev =
-              last_solution_.empty() ? 0.0 : last_solution_(c, n);
-          load += value;
-          previous_load += prev;
-          const double d = value - prev;
-          sq += d * d;
-        }
+      const auto current_values = scratch_solution_.values();
+      const auto last_values = last_solution_.values();
+      for (const std::uint32_t p : work_->sparsity()->col_positions(n)) {
+        const double value = current_values[p];
+        const double prev = has_last_ ? last_values[p] : 0.0;
+        load += value;
+        previous_load += prev;
+        const double d = value - prev;
+        sq += d * d;
       }
       replica.local_objective =
           optim::replica_cost(work_->replica(n), load);
@@ -281,13 +227,8 @@ LddmRoundStats LddmEngine::round() {
   }
   const double scale = std::max(problem_->total_demand(), 1.0);
   const bool stable =
-      sparse_ ? (sparse_has_last_ &&
-                 sparse_scratch_solution_.distance(
-                     sparse_last_solution_, options_.simd) <=
-                     options_.tolerance * scale)
-              : (!last_solution_.empty() &&
-                 scratch_solution_.distance(last_solution_, options_.simd) <=
-                     options_.tolerance * scale);
+      has_last_ && scratch_solution_.distance(last_solution_, options_.simd) <=
+                       options_.tolerance * scale;
   if (stable) {
     if (++stable_rounds_ >= options_.patience) converged_ = true;
   } else {
@@ -295,12 +236,8 @@ LddmRoundStats LddmEngine::round() {
   }
   // Double-buffer: the new solution becomes last_solution_, the old buffer
   // becomes next round's scratch.
-  if (sparse_) {
-    std::swap(sparse_last_solution_, sparse_scratch_solution_);
-    sparse_has_last_ = true;
-  } else {
-    std::swap(last_solution_, scratch_solution_);
-  }
+  std::swap(last_solution_, scratch_solution_);
+  has_last_ = true;
   return stats;
 }
 
@@ -318,23 +255,15 @@ optim::ConvergenceTrace LddmEngine::run() {
 }
 
 Matrix LddmEngine::solution() const {
-  Matrix current;
-  if (sparse_) {
-    solution_into_sparse(sparse_solution_tmp_);
-    if (aggregation_ != nullptr) {
-      thread_local Matrix aggregated_dense;
-      sparse_solution_tmp_.to_dense(aggregated_dense);
-      expand_allocation(*aggregation_, aggregated_dense, current);
-    } else {
-      sparse_solution_tmp_.to_dense(current);
-    }
-    return current;
-  }
-  solution_into(current);
-  return current;
+  solution_into(solution_tmp_);
+  return expand_solution(solution_tmp_, aggregation_.get());
 }
 
-void LddmEngine::solution_into_sparse(common::SparseAllocation& out) const {
+void LddmEngine::solution_into(common::SparseAllocation& out) const {
+  // Cesàro average of the primal iterates: the raw dual-decomposition
+  // iterates oscillate around the optimum, but their running average
+  // converges (standard primal recovery); feasibility repair makes the
+  // demand rows exact.
   if (out.empty()) out = common::SparseAllocation(work_->sparsity());
   const std::span<double> values = out.values();
   const common::SparsityPattern& pattern = out.pattern();
@@ -349,22 +278,6 @@ void LddmEngine::solution_into_sparse(common::SparseAllocation& out) const {
   optim::project_feasible(*work_, out, dykstra);
 }
 
-void LddmEngine::solution_into(Matrix& out) const {
-  const std::size_t clients = problem_->num_clients();
-  const std::size_t replicas = problem_->num_replicas();
-  // Cesàro average of the primal iterates: the raw dual-decomposition
-  // iterates oscillate around the optimum, but their running average
-  // converges (standard primal recovery); feasibility repair makes the
-  // demand rows exact.
-  out.reshape(clients, replicas, 0.0);
-  for (std::size_t n = 0; n < replicas; ++n)
-    for (std::size_t c = 0; c < clients; ++c) out(c, n) = average_[n][c];
-  optim::DykstraOptions dykstra;
-  dykstra.pool = pool();
-  dykstra.simd = options_.simd;
-  optim::project_feasible(*problem_, out, dykstra);
-}
-
 void LddmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {
   tracer_ = &telemetry.tracer();
   auto& metrics = telemetry.metrics();
@@ -377,24 +290,30 @@ void LddmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {
 }
 
 std::size_t LddmEngine::bytes_per_replica_round() const {
-  if (sparse_) {
-    // One (client id, load) pair per *feasible* client; per-replica traffic
-    // varies with the column population, so report the mean.
-    return work_->sparsity()->nnz() * (4 + 8) /
-           std::max<std::size_t>(work_->num_replicas(), 1);
+  if (options_.representation == SolverRepresentation::kDense) {
+    // One (client id, load) pair per client, shipped to that client.
+    return problem_->num_clients() * (4 + 8);
   }
-  // One (client id, load) pair per client, shipped to that client.
-  return problem_->num_clients() * (4 + 8);
+  // One (client id, load) pair per *feasible* client; per-replica traffic
+  // varies with the column population, so report the mean.
+  return work_->sparsity()->nnz() * (4 + 8) /
+         std::max<std::size_t>(work_->num_replicas(), 1);
 }
 
 std::size_t LddmEngine::bytes_per_client_round() const {
-  if (sparse_) {
-    // μ_c to each feasible replica; mean over clients.
-    return work_->sparsity()->nnz() * (4 + 8) /
-           std::max<std::size_t>(work_->num_clients(), 1);
+  if (options_.representation == SolverRepresentation::kDense) {
+    // μ_c to every replica.
+    return problem_->num_replicas() * (4 + 8);
   }
-  // μ_c to every replica.
-  return problem_->num_replicas() * (4 + 8);
+  // μ_c to each feasible replica; mean over clients.
+  return work_->sparsity()->nnz() * (4 + 8) /
+         std::max<std::size_t>(work_->num_clients(), 1);
+}
+
+std::size_t LddmEngine::reports_per_round(std::size_t n) const {
+  return options_.representation == SolverRepresentation::kDense
+             ? problem_->num_clients()
+             : work_->sparsity()->col_nnz(n);
 }
 
 }  // namespace edr::core

@@ -13,9 +13,10 @@
 // Coordination is client↔replica only — no replica↔replica traffic — which
 // is the O(|C|·|N|) per-round communication the paper credits LDDM with.
 //
-// The engine exposes the same split personality as CdpsmEngine: pure
-// per-role steps for the simulator agents plus a synchronous driver for
-// tests and Fig 5.
+// Every replica column is stored compactly — one entry per latency-feasible
+// client, in the sparsity pattern's column order — whatever the
+// representation; the representation only picks the traffic model the
+// rounds charge (and, for kAggregated, the class-aggregated work problem).
 #pragma once
 
 #include <cstddef>
@@ -66,11 +67,10 @@ struct LddmOptions {
   /// exact historical serial path; every other value produces bitwise
   /// identical results (static block partitioning, ordered reductions).
   std::size_t threads = 1;
-  /// Iterate storage (see core/representation.hpp).  kDense is the golden
-  /// path, byte-identical to the historical behavior.  kSparse/kAggregated
-  /// keep the per-replica columns compact (one entry per feasible client)
-  /// and solve the maskless subproblem on them; the recovered solution
-  /// agrees with the dense one at solver-tolerance level.
+  /// Traffic model and aggregation (see core/representation.hpp).  kDense
+  /// charges all |C|·|N| client↔replica pairs, kSparse only the feasible
+  /// ones; both iterate bit for bit alike.  kAggregated also solves on the
+  /// client equivalence classes.
   SolverRepresentation representation = SolverRepresentation::kDense;
   /// Kernel dispatch for the Cesàro average update, the served-load
   /// accumulation and the recovery projection (common/simd.hpp).  kScalar —
@@ -101,13 +101,6 @@ class LddmEngine {
  public:
   LddmEngine(const optim::Problem& problem, LddmOptions options = {});
 
-  /// --- per-role steps (used by the simulator agents) ---
-
-  /// Replica n's subproblem solve against `multipliers`; updates the stored
-  /// column and prox center, returns the new column (one load per client).
-  std::vector<double> solve_local(std::size_t n,
-                                  std::span<const double> multipliers);
-
   /// Client-side dual update given the loads each replica reported for
   /// client c.  Returns the new μ_c.
   double update_multiplier(std::size_t c, double total_served);
@@ -118,14 +111,14 @@ class LddmEngine {
   /// epoch); must be called before the first round.
   void set_multipliers(std::span<const double> mu);
 
-  /// Warm-start replica n's primal column (prox center + recovery average).
+  /// Warm-start replica n's primal column (prox center + recovery average)
+  /// from one load per client; infeasible clients' entries are ignored.
   /// Dual-only warm starts barely help because the Cesàro average restarts
   /// from zero; carrying the primal as well is what shortens epochs.
-  /// Dense representation only (throws std::logic_error otherwise).
-  void set_column_state(std::size_t n, std::span<const double> column);
-  /// Replica n's current primal column: one entry per client in the dense
-  /// representation, one entry per *feasible* client (the pattern's column
-  /// order) in the sparse/aggregated ones.
+  /// Throws std::logic_error under kAggregated, whose rows are classes.
+  void set_column_state(std::size_t n, std::span<const double> per_client);
+  /// Replica n's current primal column: one entry per *feasible* client of
+  /// the work problem, in the pattern's column order (col_rows(n)).
   [[nodiscard]] const std::vector<double>& column(std::size_t n) const {
     return columns_[n];
   }
@@ -156,10 +149,13 @@ class LddmEngine {
   [[nodiscard]] Matrix solution() const;
 
   /// Bytes one replica sends to clients per round (its column, split into
-  /// per-client messages).
+  /// per-client messages; the mean over replicas unless kDense).
   [[nodiscard]] std::size_t bytes_per_replica_round() const;
   /// Bytes one client sends to replicas per round (its μ to each replica).
   [[nodiscard]] std::size_t bytes_per_client_round() const;
+  /// Load reports replica n sends per round: one per client under kDense,
+  /// one per feasible client of the work problem otherwise.
+  [[nodiscard]] std::size_t reports_per_round(std::size_t n) const;
 
   [[nodiscard]] const LddmOptions& options() const { return options_; }
   [[nodiscard]] const optim::Problem& problem() const { return *problem_; }
@@ -195,20 +191,18 @@ class LddmEngine {
   }
 
  private:
-  /// solve_local without the return-by-value copy (round()'s hot path).
-  void solve_local_inplace(std::size_t n, std::span<const double> multipliers);
-  void solution_into(Matrix& out) const;
-  /// Compact-path primal recovery: Cesàro average scattered into a sparse
-  /// allocation over the work problem's pattern, then repaired.
-  void solution_into_sparse(common::SparseAllocation& out) const;
+  /// Replica n's subproblem solve against μ; updates its column (the prox
+  /// center) and running average in place.
+  void solve_column(std::size_t n);
+  /// Primal recovery: Cesàro average scattered into a sparse allocation
+  /// over the work problem's pattern, then repaired.
+  void solution_into(common::SparseAllocation& out) const;
   /// The pool the parallel regions should use this round: the external one
   /// when set, else a lazily built pool per options_.threads; null = serial.
   [[nodiscard]] common::ThreadPool* pool() const;
 
   const optim::Problem* problem_;
   LddmOptions options_;
-  /// True iff representation != kDense — selects the compact round path.
-  bool sparse_ = false;
   /// kAggregated state: the class transform and the aggregated instance the
   /// rounds run on.  work_ points at aggregated_problem_ when aggregating,
   /// else at problem_.
@@ -230,14 +224,12 @@ class LddmEngine {
   bool collect_stats_ = false;
   std::vector<LddmReplicaStats> replica_stats_;
   std::vector<double> mu_;  // per client of the work problem
-  // Per-replica primal state.  Dense: one entry per client.  Sparse /
-  // aggregated: one entry per feasible client, in the pattern's column
-  // order (masks_ is then unused — infeasible entries don't exist).
+  // Per-replica primal state: one entry per feasible client, in the
+  // pattern's column order (infeasible entries don't exist).
   std::vector<std::vector<double>> columns_;
   std::vector<std::vector<double>> average_;   // running primal average
-  std::vector<std::vector<double>> masks_;     // per replica feasibility
-  // Sparse-path scratch: per-replica compact gather of μ (the subproblem
-  // reads the multipliers of its feasible clients only).
+  // Per-replica compact gather of μ (the subproblem reads the multipliers
+  // of its feasible clients only).
   std::vector<std::vector<double>> mu_gather_;
   // Round scratch, reused across rounds so the hot loop stays off the heap:
   // per-replica subproblem output buffers (swapped into columns_), the
@@ -246,13 +238,10 @@ class LddmEngine {
   std::vector<std::vector<double>> solve_scratch_;
   std::vector<std::vector<double>> previous_columns_;
   std::vector<double> served_;
-  Matrix scratch_solution_;
-  Matrix last_solution_;
-  // Compact-path counterparts of the recovered-solution double buffer.
-  common::SparseAllocation sparse_scratch_solution_;
-  common::SparseAllocation sparse_last_solution_;
-  bool sparse_has_last_ = false;
-  mutable common::SparseAllocation sparse_solution_tmp_;
+  common::SparseAllocation scratch_solution_;
+  common::SparseAllocation last_solution_;
+  bool has_last_ = false;
+  mutable common::SparseAllocation solution_tmp_;
   std::size_t stable_rounds_ = 0;
   std::size_t rounds_ = 0;
   bool converged_ = false;

@@ -1,12 +1,19 @@
-// The solver-representation knob: how CDPSM/LDDM store and exchange the
-// traffic matrix while iterating.
+// The solver-representation knob: which traffic model the iterative engines
+// (CDPSM, LDDM, ADMM) charge, and whether they solve on client classes.
 //
-//  * kDense      — the golden path: dense |C|x|N| Matrix everywhere,
-//                  byte-identical to the historical behavior and pinned by
-//                  the golden-equivalence digests.
-//  * kSparse     — compact CSR-by-client storage over the feasible pairs
-//                  (common/sparse.hpp); projections, gradients and wire
-//                  frames touch only the ~|C|·k feasible entries.
+// Storage is always compact: every engine keeps its iterates on the
+// latency-feasible pairs only (CSR-by-client, common/sparse.hpp), because
+// those are the only variables.  The value decides everything around that
+// one round loop:
+//
+//  * kDense      — the all-pairs traffic model: LDDM/ADMM charge every
+//                  client<->replica pair, CDPSM ships a full |C|x|N| matrix
+//                  frame; warm start carries state across epochs, and live
+//                  replicas report dense (kDenseColumn) epoch-done frames.
+//                  The golden-equivalence digests pin this value.
+//  * kSparse     — traffic on the feasible pairs only: one indexed report
+//                  per pair, indexed CDPSM frames, compact epoch-done
+//                  frames.  Iterates are bit-identical to kDense.
 //  * kAggregated — kSparse plus the client equivalence-class transform:
 //                  clients with identical feasible-replica sets collapse to
 //                  one aggregate row, the engine solves per class, and the
@@ -14,8 +21,8 @@
 //                  core/aggregation.hpp and DESIGN.md §12).
 //
 // The knob threads from SystemConfig through the algorithm registry into
-// CdpsmOptions/LddmOptions; backends without an iterative engine (central,
-// rr, donar) ignore it.
+// CdpsmOptions/LddmOptions/AdmmOptions; backends without an iterative
+// engine (central, rr, donar) ignore it.
 #pragma once
 
 #include <optional>

@@ -118,13 +118,13 @@ struct SystemConfig {
   /// are bitwise identical for every value (static block partitioning +
   /// ordered reductions — pinned by the golden-equivalence digests).
   std::size_t solver_threads = 1;
-  /// Iterate storage for the iterative backends (lddm/cdpsm); central, rr
-  /// and donar ignore it.  kDense is the byte-identical golden path;
-  /// kSparse keeps the solver state on the latency-feasible pairs only;
-  /// kAggregated additionally collapses clients with identical feasible
-  /// sets into equivalence classes (exact — see DESIGN.md §12).  Warm
-  /// start is a dense-layout feature and is skipped for the compact
-  /// representations.
+  /// Traffic model for the iterative backends (lddm/cdpsm/admm), which
+  /// always iterate on the latency-feasible pairs; central, rr and donar
+  /// ignore it.  kDense (the golden-pinned default) charges all-pairs
+  /// traffic; kSparse charges the feasible pairs only and iterates bit for
+  /// bit like kDense; kAggregated additionally collapses clients with
+  /// identical feasible sets into equivalence classes (exact — see
+  /// DESIGN.md §12).  Warm start is applied under kDense only.
   SolverRepresentation representation = SolverRepresentation::kDense;
   /// Kernel dispatch for the solver hot loops (common/simd.hpp): kScalar —
   /// the default — is the byte-pinned golden path (digests identical to the

@@ -395,7 +395,8 @@ std::optional<LiveEpochResult> LiveCoordinator::await_epoch(
         break;
       }
       case kEpochDone: {
-        auto frame = decode_epoch_done(*msg, bus_.max_frame_bytes());
+        auto frame = decode_epoch_done(*msg, bus_.max_frame_bytes(),
+                                       config_.num_clients);
         if (observer_ != nullptr)
           observer_->flow_in(frame.trace, "epoch_done", "live_ctl");
         if (frame.epoch == epoch && frame.generation == epoch_generation)

@@ -481,7 +481,8 @@ net::Message encode_epoch_done(net::NodeId from, net::NodeId to,
 }
 
 LiveEpochDone decode_epoch_done(const net::Message& msg,
-                                std::size_t max_frame_bytes) {
+                                std::size_t max_frame_bytes,
+                                std::size_t max_rows) {
   auto r = reader_for(msg, max_frame_bytes);
   LiveEpochDone done;
   done.epoch = r.get_u32();
@@ -493,12 +494,16 @@ LiveEpochDone decode_epoch_done(const net::Message& msg,
   done.kind = r.get_u8();
   if (done.kind == LiveEpochDone::kSparseColumn) {
     done.num_rows = r.get_u32();
+    if (done.num_rows > max_rows)
+      throw std::out_of_range{"live: epoch-done column has too many rows"};
     r.get_indexed_doubles(done.indices, done.column);
     for (const std::uint32_t row : done.indices)
       if (row >= done.num_rows)
         throw std::out_of_range{"live: sparse column index out of range"};
   } else if (done.kind == LiveEpochDone::kDenseColumn) {
     done.column = r.get_doubles();
+    if (done.column.size() > max_rows)
+      throw std::out_of_range{"live: epoch-done column has too many rows"};
     done.num_rows = static_cast<std::uint32_t>(done.column.size());
   } else {
     throw std::out_of_range{"live: unknown epoch-done column encoding"};

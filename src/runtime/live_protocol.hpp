@@ -265,8 +265,12 @@ struct LiveTimeReply {
 
 [[nodiscard]] net::Message encode_epoch_done(net::NodeId from, net::NodeId to,
                                              const LiveEpochDone& done);
+/// `max_rows` bounds the column length (the run's client count): a frame
+/// claiming more rows throws std::out_of_range before anything is sized
+/// from it.
 [[nodiscard]] LiveEpochDone decode_epoch_done(const net::Message& msg,
-                                              std::size_t max_frame_bytes);
+                                              std::size_t max_frame_bytes,
+                                              std::size_t max_rows);
 
 [[nodiscard]] net::Message encode_stall(net::NodeId from, net::NodeId to,
                                         const LiveStall& stall);

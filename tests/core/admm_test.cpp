@@ -134,13 +134,18 @@ TEST(Admm, SetStateRejectedAfterFirstRound) {
   EXPECT_THROW(engine.set_state(z, u), std::logic_error);
 }
 
-TEST(Admm, SetStateRejectedOnCompactRepresentations) {
+TEST(Admm, SetStateRejectedUnderAggregation) {
+  // Warm start is per client, so it works wherever rows are clients and is
+  // refused only when the rows are aggregated classes.
   const auto problem = small_instance(88);
+  const Matrix zero(problem.num_clients(), problem.num_replicas(), 0.0);
   AdmmOptions options;
   options.representation = SolverRepresentation::kSparse;
-  AdmmEngine engine{problem, options};
-  Matrix zero(problem.num_clients(), problem.num_replicas(), 0.0);
-  EXPECT_THROW(engine.set_state(zero, zero), std::logic_error);
+  AdmmEngine sparse{problem, options};
+  EXPECT_NO_THROW(sparse.set_state(zero, zero));
+  options.representation = SolverRepresentation::kAggregated;
+  AdmmEngine aggregated{problem, options};
+  EXPECT_THROW(aggregated.set_state(zero, zero), std::logic_error);
 }
 
 TEST(Admm, RepresentationsAgreeOnTheSolution) {

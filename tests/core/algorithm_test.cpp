@@ -11,6 +11,7 @@
 #include "core/builtin_algorithms.hpp"
 #include "core/lddm.hpp"
 #include "optim/problem.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace edr::core {
 namespace {
@@ -40,6 +41,8 @@ struct FabricatedEpoch {
 
   explicit FabricatedEpoch(double demand_scale)
       : problem(make_problem(demand_scale)) {}
+  explicit FabricatedEpoch(optim::Problem epoch_problem)
+      : problem(std::move(epoch_problem)) {}
 
   [[nodiscard]] EpochContext context() {
     EpochContext ctx;
@@ -135,6 +138,71 @@ TEST(LddmAlgorithm, AbortKeepsWarmStateForTheRestart) {
   const std::size_t cold_second = solve_epoch(cold, second.context());
   EXPECT_LT(restarted, cold_second)
       << "warm state should survive an aborted epoch";
+}
+
+/// make_problem(1.0) with a partial latency pattern: client c cannot reach
+/// replica (c + 1) % 4, and client 0 reaches replica 0 only.
+optim::Problem make_partial_problem() {
+  const optim::Problem full = make_problem(1.0);
+  std::vector<Megabytes> demands(4);
+  std::vector<optim::ReplicaParams> replicas(4);
+  for (std::size_t c = 0; c < 4; ++c) demands[c] = full.demand(c);
+  for (std::size_t n = 0; n < 4; ++n) replicas[n] = full.replica(n);
+  Matrix latency(4, 4, 0.2);
+  for (std::size_t c = 0; c < 4; ++c) latency(c, (c + 1) % 4) = 2.5;
+  latency(0, 2) = 2.5;
+  latency(0, 3) = 2.5;
+  return optim::Problem(std::move(demands), std::move(replicas),
+                        std::move(latency), 1.8);
+}
+
+TEST(ObservedSamples, PerReplicaMessagesAddUpToTheRoundTraffic) {
+  // Each replica's flight-recorder sample reports its own load/share
+  // reports; summed over replicas they are the replica -> client half of
+  // the round's client<->replica messages, under every traffic model.
+  const auto check = [](DistributedAlgorithm& algorithm,
+                        const char* messages_metric) {
+    FabricatedEpoch epoch(make_partial_problem());
+    ASSERT_EQ(epoch.problem.sparsity()->nnz(), 10u);
+    telemetry::Telemetry telemetry;
+    telemetry.enable_flight_recorder();
+    EpochContext ctx = epoch.context();
+    ctx.telemetry = &telemetry;
+    const telemetry::Counter messages =
+        telemetry.metrics().counter(messages_metric);
+    algorithm.begin_epoch(ctx);
+    std::vector<telemetry::RoundSample> samples;
+    std::uint64_t before = messages.value();
+    bool done = false;
+    while (!done) {
+      done = algorithm.step_round(ctx);
+      samples.clear();
+      algorithm.observe(ctx, samples);
+      ASSERT_EQ(samples.size(), 4u);
+      std::uint64_t sent = 0;
+      for (const auto& sample : samples) {
+        EXPECT_EQ(sample.bytes_sent, sample.messages_sent * 12u);
+        sent += sample.messages_sent;
+      }
+      EXPECT_EQ(2 * sent, messages.value() - before)
+          << algorithm.name() << " round " << samples.front().round;
+      before = messages.value();
+    }
+    (void)algorithm.extract_allocation(ctx);
+  };
+  for (const auto representation :
+       {SolverRepresentation::kDense, SolverRepresentation::kSparse}) {
+    SCOPED_TRACE(to_string(representation));
+    LddmOptions lddm = test_lddm_options();
+    lddm.representation = representation;
+    LddmAlgorithm lddm_algorithm(lddm, /*warm_start=*/false);
+    check(lddm_algorithm, "solver.lddm.messages");
+    AdmmOptions admm;
+    admm.representation = representation;
+    admm.max_rounds = 300;
+    AdmmAlgorithm admm_algorithm(admm, /*warm_start=*/false);
+    check(admm_algorithm, "solver.admm.messages");
+  }
 }
 
 TEST(RoundRobinAlgorithm, RotationCursorCarriesAcrossEpochs) {

@@ -46,19 +46,6 @@ TEST(Cdpsm, EverySolutionIsFeasible) {
   }
 }
 
-TEST(Cdpsm, StepReplicaIsPureAndDeterministic) {
-  const auto problem = small_instance(42);
-  CdpsmEngine engine{problem};
-  std::vector<Matrix> peers;
-  for (std::size_t n = 0; n < problem.num_replicas(); ++n)
-    peers.push_back(engine.estimate(n));
-  const Matrix a = engine.step_replica(0, peers);
-  const Matrix b = engine.step_replica(0, peers);
-  EXPECT_EQ(a, b);
-  // Engine state untouched by step_replica.
-  EXPECT_EQ(engine.rounds_executed(), 0u);
-}
-
 TEST(Cdpsm, ObjectiveTrendsDownward) {
   const auto problem = small_instance(43);
   CdpsmEngine engine{problem};

@@ -75,12 +75,16 @@ TEST(Lddm, ColumnsRespectCapacityAndMask) {
   for (int k = 0; k < 30; ++k) {
     engine.round();
     for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+      // Compact column: one entry per feasible client, so masked clients
+      // have no entry at all.
       const auto& column = engine.column(n);
+      const auto rows = problem.sparsity()->col_rows(n);
+      ASSERT_EQ(column.size(), rows.size());
       double load = 0.0;
-      for (std::size_t c = 0; c < problem.num_clients(); ++c) {
-        EXPECT_GE(column[c], 0.0);
-        if (!problem.feasible_pair(c, n)) EXPECT_DOUBLE_EQ(column[c], 0.0);
-        load += column[c];
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_TRUE(problem.feasible_pair(rows[i], n));
+        EXPECT_GE(column[i], 0.0);
+        load += column[i];
       }
       EXPECT_LE(load, problem.replica(n).bandwidth + 1e-6);
     }
@@ -142,11 +146,31 @@ TEST(Lddm, WarmStartReducesRounds) {
   // epochs; dual-only warm starts do not shorten the averaged recovery).
   LddmEngine warm{problem};
   warm.set_multipliers(cold.multipliers());
-  for (std::size_t n = 0; n < problem.num_replicas(); ++n)
-    warm.set_column_state(n, cold.column(n));
+  for (std::size_t n = 0; n < problem.num_replicas(); ++n) {
+    // The carrier is per client; the compact column scatters into it.
+    std::vector<double> per_client(problem.num_clients(), 0.0);
+    const auto rows = problem.sparsity()->col_rows(n);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      per_client[rows[i]] = cold.column(n)[i];
+    warm.set_column_state(n, per_client);
+  }
   warm.run();
   EXPECT_TRUE(warm.converged());
   EXPECT_LT(warm.rounds_executed(), cold.rounds_executed());
+}
+
+TEST(Lddm, SetColumnStateRejectedUnderAggregation) {
+  // Warm start is per client, so it works wherever rows are clients and is
+  // refused only when the rows are aggregated classes.
+  const auto problem = small_instance(70);
+  const std::vector<double> per_client(problem.num_clients(), 1.0);
+  LddmOptions options;
+  options.representation = SolverRepresentation::kSparse;
+  LddmEngine sparse{problem, options};
+  EXPECT_NO_THROW(sparse.set_column_state(0, per_client));
+  options.representation = SolverRepresentation::kAggregated;
+  LddmEngine aggregated{problem, options};
+  EXPECT_THROW(aggregated.set_column_state(0, per_client), std::logic_error);
 }
 
 TEST(Lddm, InitialMuOverridesAutoHeuristic) {

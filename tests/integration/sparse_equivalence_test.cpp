@@ -10,13 +10,16 @@
 //    non-iterative backends (central, rr, donar) ignore the knob and must
 //    be byte-identical; the iterative ones (lddm, cdpsm) must agree to
 //    solver tolerance;
-//  * the engines head-to-head on one Problem, same rounds, with feasible
-//    solutions and near-identical objectives;
+//  * the engines head-to-head on one Problem: dense and sparse storage give
+//    bitwise-equal solutions in equal rounds, aggregated stays feasible and
+//    near the dense objective;
 //  * a 10^5-client geo-local instance solving within a single-digit-seconds
 //    wall budget — the scale the dense path cannot touch.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/report_json.hpp"
 #include "baselines/donar_algorithm.hpp"
+#include "core/admm.hpp"
 #include "core/cdpsm.hpp"
 #include "core/lddm.hpp"
 #include "core/representation.hpp"
@@ -91,6 +95,54 @@ TEST(SparseEquivalence, IterativeBackendsAgreeToSolverTolerance) {
   }
 }
 
+/// One engine run under a given storage: the recovered solution and the
+/// rounds it took.
+struct EngineRun {
+  Matrix solution;
+  std::size_t rounds = 0;
+};
+
+EngineRun run_cdpsm(const optim::Problem& problem, core::CdpsmOptions options,
+                    core::SolverRepresentation representation) {
+  options.representation = representation;
+  core::CdpsmEngine engine{problem, options};
+  engine.run();
+  return {engine.solution(), engine.rounds_executed()};
+}
+
+EngineRun run_lddm(const optim::Problem& problem, core::LddmOptions options,
+                   core::SolverRepresentation representation) {
+  options.representation = representation;
+  core::LddmEngine engine{problem, options};
+  engine.run();
+  return {engine.solution(), engine.rounds_executed()};
+}
+
+EngineRun run_admm(const optim::Problem& problem, core::AdmmOptions options,
+                   core::SolverRepresentation representation) {
+  options.representation = representation;
+  core::AdmmEngine engine{problem, options};
+  engine.run();
+  return {engine.solution(), engine.rounds_executed()};
+}
+
+/// kDense and kSparse differ only in the traffic model they charge, so the
+/// iterates must agree to the bit: equal solutions, equal round counts.
+void expect_dense_equals_sparse(const char* name, const EngineRun& dense,
+                                const EngineRun& sparse) {
+  EXPECT_EQ(sparse.rounds, dense.rounds)
+      << name << ": sparse and dense took different round counts";
+  ASSERT_EQ(sparse.solution.rows(), dense.solution.rows()) << name;
+  ASSERT_EQ(sparse.solution.cols(), dense.solution.cols()) << name;
+  const auto a = dense.solution.flat();
+  const auto b = sparse.solution.flat();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(b[i]),
+              std::bit_cast<std::uint64_t>(a[i]))
+        << name << ": sparse solution differs from dense at flat index " << i
+        << " (" << b[i] << " vs " << a[i] << ")";
+}
+
 TEST(SparseEquivalence, EnginesNearCentralizedOptimumUnderEveryStorage) {
   Rng rng{19};
   optim::GeoInstanceOptions geo;
@@ -103,54 +155,79 @@ TEST(SparseEquivalence, EnginesNearCentralizedOptimumUnderEveryStorage) {
   const double optimum = central->cost;
   ASSERT_GT(optimum, 0.0);
 
-  // kSparse runs the same iteration on compact storage, so it must track
-  // the dense objective tightly at equal rounds.  kAggregated follows a
-  // different (smaller) trajectory — it usually converges CLOSER to the
-  // optimum at equal rounds — so it is only required to be feasible, no
-  // worse than the dense iterate (plus slack), and never below the true
-  // optimum.  How fast either engine approaches the optimum is convergence
-  // behavior, not representation equivalence, and is not pinned here.
-  const auto check = [&](const char* name, auto&& make_solution) {
+  // kSparse runs the same iteration as kDense on the same compact storage;
+  // only the charged traffic differs, so the two must be bitwise equal.
+  // kAggregated follows a different (smaller) trajectory — it usually
+  // converges CLOSER to the optimum at equal rounds — so it is only
+  // required to be feasible, no worse than the dense iterate (plus slack),
+  // and never below the true optimum.  How fast either engine approaches
+  // the optimum is convergence behavior, not representation equivalence,
+  // and is not pinned here.
+  const auto check = [&](const char* name, auto&& run) {
+    EngineRun runs[3];
     double objective[3] = {0.0, 0.0, 0.0};
     for (std::size_t i = 0; i < 3; ++i) {
-      const Matrix solution = make_solution(kRepresentations[i]);
-      EXPECT_TRUE(optim::check_feasibility(problem, solution).ok(1e-4))
+      runs[i] = run(kRepresentations[i]);
+      EXPECT_TRUE(optim::check_feasibility(problem, runs[i].solution).ok(1e-4))
           << name << " infeasible under "
           << core::to_string(kRepresentations[i]);
-      objective[i] = problem.total_cost(solution);
+      objective[i] = problem.total_cost(runs[i].solution);
       EXPECT_GE(objective[i], optimum * (1.0 - 1e-6))
           << name << " beat the optimum under "
           << core::to_string(kRepresentations[i]);
     }
-    EXPECT_NEAR(objective[1], objective[0], 1e-3 * objective[0])
-        << name << ": sparse diverged from dense at equal rounds";
+    expect_dense_equals_sparse(name, runs[0], runs[1]);
     EXPECT_LE(objective[2], objective[0] * 1.10)
         << name << ": aggregated diverged from dense at equal rounds";
   };
 
-  {
-    core::CdpsmOptions options;
-    options.max_rounds = 60;
-    options.tolerance = 1e-5;
+  for (const auto simd :
+       {common::simd::Mode::kScalar, common::simd::Mode::kAuto}) {
+    SCOPED_TRACE(simd == common::simd::Mode::kScalar ? "simd scalar"
+                                                     : "simd auto");
+    core::CdpsmOptions cdpsm;
+    cdpsm.max_rounds = 60;
+    cdpsm.tolerance = 1e-5;
+    cdpsm.simd = simd;
     check("cdpsm", [&](core::SolverRepresentation representation) {
-      auto opts = options;
-      opts.representation = representation;
-      core::CdpsmEngine engine{problem, opts};
-      engine.run();
-      return engine.solution();
+      return run_cdpsm(problem, cdpsm, representation);
+    });
+    core::LddmOptions lddm;
+    lddm.max_rounds = 150;
+    lddm.tolerance = 1e-5;
+    lddm.simd = simd;
+    check("lddm", [&](core::SolverRepresentation representation) {
+      return run_lddm(problem, lddm, representation);
+    });
+    core::AdmmOptions admm;
+    admm.max_rounds = 150;
+    admm.tolerance = 1e-5;
+    admm.simd = simd;
+    check("admm", [&](core::SolverRepresentation representation) {
+      return run_admm(problem, admm, representation);
     });
   }
-  {
-    core::LddmOptions options;
-    options.max_rounds = 150;
-    options.tolerance = 1e-5;
-    check("lddm", [&](core::SolverRepresentation representation) {
-      auto opts = options;
-      opts.representation = representation;
-      core::LddmEngine engine{problem, opts};
-      engine.run();
-      return engine.solution();
-    });
+
+  // Partial latency patterns on small random instances: pairs above the
+  // latency bound are not variables, and the dense and compact storages
+  // must still agree to the bit.
+  for (const std::uint64_t seed : {2, 4, 6, 8}) {
+    SCOPED_TRACE("12x6 random instance, seed " + std::to_string(seed));
+    Rng instance_rng{seed};
+    optim::InstanceOptions opts;
+    opts.num_clients = 12;
+    opts.num_replicas = 6;
+    opts.max_link_latency = 2.4;
+    const auto partial = optim::make_random_instance(instance_rng, opts);
+    ASSERT_LT(partial.sparsity()->nnz(), 12u * 6u);
+    const auto dense = core::SolverRepresentation::kDense;
+    const auto sparse = core::SolverRepresentation::kSparse;
+    expect_dense_equals_sparse("cdpsm", run_cdpsm(partial, {}, dense),
+                               run_cdpsm(partial, {}, sparse));
+    expect_dense_equals_sparse("lddm", run_lddm(partial, {}, dense),
+                               run_lddm(partial, {}, sparse));
+    expect_dense_equals_sparse("admm", run_admm(partial, {}, dense),
+                               run_admm(partial, {}, sparse));
   }
 }
 

@@ -72,38 +72,46 @@ TEST(Subproblem, AllPositiveMultipliersGiveZero) {
   // the objective, so q = 0 is optimal.
   const auto params = cubic_params();
   const std::vector<double> mu{1.0, 2.0};
-  const std::vector<double> mask{1.0, 1.0};
   const std::vector<double> prox{0.0, 0.0};
-  const auto result = solve_replica_subproblem(params, mu, mask, prox, 1.0);
+  const auto result = solve_replica_subproblem(params, mu, prox, 1.0);
   EXPECT_NEAR(result.load, 0.0, 1e-9);
 }
 
 TEST(Subproblem, NegativeMultiplierAttractsLoad) {
   const auto params = cubic_params();
   const std::vector<double> mu{-50.0, 10.0};
-  const std::vector<double> mask{1.0, 1.0};
   const std::vector<double> prox{0.0, 0.0};
-  const auto result = solve_replica_subproblem(params, mu, mask, prox, 1.0);
+  const auto result = solve_replica_subproblem(params, mu, prox, 1.0);
   EXPECT_GT(result.allocation[0], 1.0);
   EXPECT_NEAR(result.allocation[1], 0.0, 1e-9);
 }
 
 TEST(Subproblem, MaskBlocksClient) {
+  // Client 0 ({μ, q̂} = {-50, 10}) is latency-masked, so it is not a
+  // variable: the solve runs on the feasible subsequence, client 1 alone.
+  // The masked client's pull must not leak into the feasible one — its load
+  // equals the single-client solve's, and it still attracts load.
   const auto params = cubic_params();
   const std::vector<double> mu{-50.0, -50.0};
-  const std::vector<double> mask{0.0, 1.0};
   const std::vector<double> prox{10.0, 0.0};
-  const auto result = solve_replica_subproblem(params, mu, mask, prox, 1.0);
-  EXPECT_DOUBLE_EQ(result.allocation[0], 0.0);
-  EXPECT_GT(result.allocation[1], 0.0);
+  const std::vector<double> mask{0.0, 1.0};
+  const std::vector<double> feasible_mu{mu[1]};
+  const std::vector<double> feasible_prox{prox[1]};
+  const auto result =
+      solve_replica_subproblem(params, feasible_mu, feasible_prox, 1.0);
+  ASSERT_EQ(result.allocation.size(), 1u);
+  EXPECT_GT(result.allocation[0], 0.0);
+  EXPECT_DOUBLE_EQ(result.load, result.allocation[0]);
+  const auto reference = brute_force(params, mu, mask, prox, 1.0);
+  EXPECT_DOUBLE_EQ(reference[0], 0.0);
+  EXPECT_NEAR(result.allocation[0], reference[1], 1e-3);
 }
 
 TEST(Subproblem, CapacityBindsAndMultiplierIsReported) {
   const auto params = cubic_params(1.0, 5.0);
   const std::vector<double> mu{-1000.0, -1000.0};
-  const std::vector<double> mask{1.0, 1.0};
   const std::vector<double> prox{100.0, 100.0};
-  const auto result = solve_replica_subproblem(params, mu, mask, prox, 1.0);
+  const auto result = solve_replica_subproblem(params, mu, prox, 1.0);
   EXPECT_NEAR(result.load, 5.0, 1e-6);
   EXPECT_GT(result.capacity_multiplier, 0.0);
 }
@@ -111,9 +119,8 @@ TEST(Subproblem, CapacityBindsAndMultiplierIsReported) {
 TEST(Subproblem, RejectsNonPositiveRho) {
   const auto params = cubic_params();
   const std::vector<double> mu{0.0};
-  const std::vector<double> mask{1.0};
   const std::vector<double> prox{0.0};
-  EXPECT_THROW(solve_replica_subproblem(params, mu, mask, prox, 0.0),
+  EXPECT_THROW(solve_replica_subproblem(params, mu, prox, 0.0),
                std::invalid_argument);
 }
 
@@ -137,21 +144,32 @@ TEST_P(SubproblemRandomTest, MatchesBruteForceSolution) {
   }
   const double rho = rng.uniform(0.5, 3.0);
 
-  const auto fast = solve_replica_subproblem(params, mu, mask, prox, rho);
+  // The solver sees the feasible subsequence only; the brute-force
+  // reference runs masked on all clients.  Scatter the fast solution back
+  // (masked clients carry zero) and compare objective values.
+  std::vector<double> feasible_mu, feasible_prox;
+  for (std::size_t c = 0; c < clients; ++c)
+    if (mask[c] != 0.0) {
+      feasible_mu.push_back(mu[c]);
+      feasible_prox.push_back(prox[c]);
+    }
+  const auto fast =
+      solve_replica_subproblem(params, feasible_mu, feasible_prox, rho);
+  ASSERT_EQ(fast.allocation.size(), feasible_mu.size());
+  std::vector<double> scattered(clients, 0.0);
+  for (std::size_t c = 0, i = 0; c < clients; ++c)
+    if (mask[c] != 0.0) scattered[c] = fast.allocation[i++];
   const auto slow = brute_force(params, mu, mask, prox, rho);
 
   const double fast_value =
-      subproblem_value(params, mu, prox, rho, fast.allocation);
+      subproblem_value(params, mu, prox, rho, scattered);
   const double slow_value = subproblem_value(params, mu, prox, rho, slow);
   // The closed-form solver must be at least as good as 60k iterations of
   // projected gradient (up to tolerance).
   EXPECT_LE(fast_value, slow_value + 1e-4)
       << "fast=" << fast_value << " brute=" << slow_value;
 
-  for (std::size_t c = 0; c < clients; ++c) {
-    EXPECT_GE(fast.allocation[c], 0.0);
-    if (mask[c] == 0.0) EXPECT_DOUBLE_EQ(fast.allocation[c], 0.0);
-  }
+  for (const double q : fast.allocation) EXPECT_GE(q, 0.0);
   EXPECT_LE(fast.load, params.bandwidth + 1e-7);
 }
 

@@ -101,16 +101,44 @@ TEST(LiveProtocol, EpochDoneAndStallRoundTrip) {
   done.objective = 123.5;
   done.digest_mismatches = 2;
   done.column = {0.5, 1.25, 0.0, 7.5};
-  const auto d = decode_epoch_done(encode_epoch_done(2, 9, done), 1 << 20);
+  const auto d =
+      decode_epoch_done(encode_epoch_done(2, 9, done), 1 << 20, 4);
   EXPECT_EQ(d.rounds, 88u);
   EXPECT_EQ(d.digest_mismatches, 2u);
   EXPECT_EQ(d.column, done.column);
+
+  // A dense column longer than the run's client count is refused.
+  EXPECT_THROW(
+      (void)decode_epoch_done(encode_epoch_done(2, 9, done), 1 << 20, 3),
+      std::out_of_range);
 
   LiveStall stall{.epoch = 1, .generation = 3, .round = 5,
                   .missing = {0, 1, 0, 1}};
   const auto st = decode_stall(encode_stall(2, 9, stall), 1 << 20);
   EXPECT_EQ(st.round, 5u);
   EXPECT_EQ(st.missing, stall.missing);
+}
+
+TEST(LiveProtocol, SparseEpochDoneRowCountIsBounded) {
+  // A compact column frame carries only its nonzero rows plus a u32 row
+  // count; the coordinator sizes its allocation from that count, so the
+  // decoder must refuse counts above the run's client count.
+  LiveEpochDone done;
+  done.kind = LiveEpochDone::kSparseColumn;
+  done.num_rows = 0xFFFFFFFFu;
+  EXPECT_THROW(
+      (void)decode_epoch_done(encode_epoch_done(2, 9, done), 1 << 20, 1000),
+      std::out_of_range);
+
+  done.num_rows = 1000;
+  done.indices = {3, 999};
+  done.column = {0.5, 2.0};
+  const auto d =
+      decode_epoch_done(encode_epoch_done(2, 9, done), 1 << 20, 1000);
+  EXPECT_EQ(d.kind, LiveEpochDone::kSparseColumn);
+  EXPECT_EQ(d.num_rows, 1000u);
+  EXPECT_EQ(d.indices, done.indices);
+  EXPECT_EQ(d.column, done.column);
 }
 
 TEST(LiveProtocol, ConfigRoundTripPreservesEverything) {
