@@ -37,7 +37,9 @@ echo
 echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 # Only the tests that actually exercise concurrency: LDDM against the
 # central optimum on the live runtime (one thread per replica over the
-# in-process transport), the mailbox transport itself, the atomic metrics registry, the fork-join ThreadPool,
+# in-process transport), the mailbox transport itself, the atomic metrics registry,
+# the lossy process-wide sink slots behind default metric handles
+# (TelemetrySink), the fork-join ThreadPool,
 # the parallel projection sweeps, and the golden-equivalence sweep that runs
 # every backend at solver_threads ∈ {1, 2, hardware}. The rest of the suite
 # is single-threaded and already covered by the asan/ubsan tree above.
@@ -50,7 +52,7 @@ cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
            test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'LddmMatchesCentralUnderRealThreads|AtomicModeCountsAcrossThreads|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'LddmMatchesCentralUnderRealThreads|AtomicModeCountsAcrossThreads|TelemetrySink|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="

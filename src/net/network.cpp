@@ -5,23 +5,67 @@
 
 namespace edr::net {
 
-void SimNetwork::attach(NodeId node, Handler handler) {
-  handlers_[node] = std::move(handler);
+namespace {
+
+/// First link in a destination-sorted table whose `to` is not below `to`.
+template <typename Links>
+auto lower_bound_to(Links& links, NodeId to) {
+  return std::lower_bound(
+      links.begin(), links.end(), to,
+      [](const auto& link, NodeId id) { return link.to < id; });
 }
 
-void SimNetwork::detach(NodeId node) { handlers_.erase(node); }
+}  // namespace
 
-bool SimNetwork::attached(NodeId node) const {
-  return handlers_.contains(node);
+SimNetwork::Node& SimNetwork::node(NodeId id) {
+  if (id >= nodes_.size()) nodes_.resize(std::size_t{id} + 1);
+  return nodes_[id];
+}
+
+void SimNetwork::attach(NodeId id, Handler handler) {
+  Node& n = node(id);
+  n.handler = std::move(handler);
+  n.attached = true;
+}
+
+void SimNetwork::detach(NodeId id) {
+  if (id >= nodes_.size()) return;
+  nodes_[id].handler = nullptr;
+  nodes_[id].attached = false;
+}
+
+bool SimNetwork::attached(NodeId id) const {
+  return id < nodes_.size() && nodes_[id].attached;
+}
+
+const SimNetwork::Link* SimNetwork::find_link(NodeId from, NodeId to) const {
+  if (from >= nodes_.size()) return nullptr;
+  const auto& links = nodes_[from].links;
+  const auto it = lower_bound_to(links, to);
+  return it != links.end() && it->to == to ? &*it : nullptr;
+}
+
+SimNetwork::Link& SimNetwork::link_entry(NodeId from, NodeId to) {
+  auto& links = node(from).links;
+  // Set-up loops add destinations in ascending order: append, no search.
+  auto it = !links.empty() && to <= links.back().to ? lower_bound_to(links, to)
+                                                     : links.end();
+  if (it != links.end() && it->to == to) return *it;
+  it = links.insert(it, Link{});
+  it->to = to;
+  return *it;
 }
 
 void SimNetwork::set_link(NodeId from, NodeId to, LinkParams params) {
-  links_[{from, to}] = params;
+  Link& link = link_entry(from, to);
+  link.overridden = true;
+  link.params = params;
 }
 
 LinkParams SimNetwork::link(NodeId from, NodeId to) const {
-  const auto it = links_.find({from, to});
-  return it == links_.end() ? default_link_ : it->second;
+  const Link* found = find_link(from, to);
+  return found != nullptr && found->overridden ? found->params
+                                               : default_link_;
 }
 
 SimTime SimNetwork::nominal_delay(NodeId from, NodeId to,
@@ -35,7 +79,7 @@ SimTime SimNetwork::nominal_delay(NodeId from, NodeId to,
 }
 
 void SimNetwork::send(Message message) {
-  auto& sender = stats_[message.from];
+  auto& sender = node(message.from).traffic;
   sender.messages_sent += 1;
   sender.bytes_sent += message.bytes;
   auto& by_type = traffic_by_type_[message.type];
@@ -49,7 +93,8 @@ void SimNetwork::send(Message message) {
     per_type[1].add(message.bytes);
   }
 
-  const LinkParams params = link(message.from, message.to);
+  Link& link = link_entry(message.from, message.to);
+  const LinkParams& params = link.overridden ? link.params : default_link_;
   const double transmission =
       params.bandwidth_mbps > 0.0
           ? static_cast<double>(message.bytes) / (params.bandwidth_mbps * 1e6)
@@ -57,11 +102,10 @@ void SimNetwork::send(Message message) {
 
   // FIFO serialization on the directed link: transmission starts when the
   // link frees up.
-  SimTime& busy_until = link_busy_until_[{message.from, message.to}];
-  const SimTime start = std::max(sim_.now(), busy_until);
+  const SimTime start = std::max(sim_.now(), link.busy_until);
   queue_delay_metric_.observe(start - sim_.now());
-  busy_until = start + transmission;
-  const SimTime delivery = busy_until + seconds(params.latency);
+  link.busy_until = start + transmission;
+  const SimTime delivery = link.busy_until + seconds(params.latency);
 
   // Flow arrow tail on the sender's track; the head is recorded at
   // delivery so the viewer draws send -> receive across the two tracks.
@@ -86,22 +130,33 @@ void SimNetwork::send(Message message) {
     return;
   }
 
-  sim_.schedule_at(delivery, [this, flow_id, msg = std::move(message)]() {
-    const auto it = handlers_.find(msg.to);
-    if (it == handlers_.end()) return;  // crashed host: drop
-    auto& receiver = stats_[msg.to];
-    receiver.messages_received += 1;
-    receiver.bytes_received += msg.bytes;
-    messages_delivered_metric_.add(1);
-    if (flow_id != 0 && telemetry_ != nullptr) {
-      const auto name_it = type_names_.find(msg.type);
-      telemetry_->tracer().flow_end(
-          flow_id,
-          name_it != type_names_.end() ? name_it->second : "message", "net",
-          msg.to);
-    }
-    it->second(msg);
-  });
+  const std::uint32_t slot = in_flight_.put({std::move(message), flow_id});
+  sim_.schedule_at(delivery, [this, slot] { deliver(slot); });
+}
+
+void SimNetwork::deliver(std::uint32_t slot) {
+  // Take the message out first: the handler may send, which can reuse the
+  // slot or grow the pool.
+  const auto [message, flow_id] = in_flight_.take(slot);
+
+  if (!attached(message.to)) return;  // crashed host: drop
+  Node& receiver = nodes_[message.to];
+  receiver.traffic.messages_received += 1;
+  receiver.traffic.bytes_received += message.bytes;
+  messages_delivered_metric_.add(1);
+  if (flow_id != 0 && telemetry_ != nullptr) {
+    const auto name_it = type_names_.find(message.type);
+    telemetry_->tracer().flow_end(
+        flow_id, name_it != type_names_.end() ? name_it->second : "message",
+        "net", message.to);
+  }
+  // The handler runs from the stack, so attach/detach calls it makes
+  // (including on its own node, or ones that grow nodes_) cannot free it
+  // mid-call.  It goes back unless it detached or replaced its own node.
+  Handler handler = std::move(receiver.handler);
+  handler(message);
+  Node& after = nodes_[message.to];
+  if (after.attached && !after.handler) after.handler = std::move(handler);
 }
 
 TypeTraffic SimNetwork::traffic_in_range(int first_type,
@@ -146,20 +201,26 @@ std::array<telemetry::Counter, 2>& SimNetwork::type_metrics(int type) {
       .first->second;
 }
 
-TrafficStats SimNetwork::stats(NodeId node) const {
-  const auto it = stats_.find(node);
-  return it == stats_.end() ? TrafficStats{} : it->second;
+TrafficStats SimNetwork::stats(NodeId id) const {
+  return id < nodes_.size() ? nodes_[id].traffic : TrafficStats{};
 }
 
 TrafficStats SimNetwork::total_stats() const {
   TrafficStats total;
-  for (const auto& [node, s] : stats_) {
-    total.messages_sent += s.messages_sent;
-    total.messages_received += s.messages_received;
-    total.bytes_sent += s.bytes_sent;
-    total.bytes_received += s.bytes_received;
+  for (const auto& n : nodes_) {
+    total.messages_sent += n.traffic.messages_sent;
+    total.messages_received += n.traffic.messages_received;
+    total.bytes_sent += n.traffic.bytes_sent;
+    total.bytes_received += n.traffic.bytes_received;
   }
   return total;
+}
+
+std::size_t SimNetwork::tracked_nodes() const {
+  return static_cast<std::size_t>(
+      std::count_if(nodes_.begin(), nodes_.end(), [](const Node& n) {
+        return n.traffic.messages_sent + n.traffic.messages_received > 0;
+      }));
 }
 
 }  // namespace edr::net

@@ -6,6 +6,19 @@
 // (which drives transfer times and hence the power-trace peaks), and
 // per-node traffic counters (which drive the communication-complexity
 // comparisons between CDPSM, LDDM and DONAR).
+//
+// Storage is flat, because a send is the simulator's hottest path:
+//  - Per-node state (handler, traffic counters, outgoing links) lives in
+//    one vector indexed by NodeId.
+//  - A node's outgoing links form one table sorted by destination.  An
+//    entry holds the link's override (if any) and its FIFO busy-until time,
+//    so a send does one lookup.  Set-up loops that walk destinations in
+//    ascending order only append.  A pair that has carried traffic but has
+//    no override keeps following set_default_link.
+//  - A message in flight waits in a reusable slot, so its delivery event
+//    captures only {this, slot} and fits std::function's inline buffer: a
+//    send allocates nothing once the slot array and the event heap have
+//    grown to the run's peak.
 #pragma once
 
 #include <any>
@@ -21,6 +34,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/sim.hpp"
+#include "net/slot_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace edr::net {
@@ -111,9 +125,9 @@ class SimNetwork {
   /// inflated the stats table).
   [[nodiscard]] TrafficStats stats(NodeId node) const;
   [[nodiscard]] TrafficStats total_stats() const;
-  /// Number of nodes with a traffic record (regression hook for the
-  /// no-insert-on-read guarantee above).
-  [[nodiscard]] std::size_t tracked_nodes() const { return stats_.size(); }
+  /// Number of nodes that sent or received at least one message
+  /// (regression hook for the no-insert-on-read guarantee above).
+  [[nodiscard]] std::size_t tracked_nodes() const;
   /// Messages dropped by lossy links so far.
   [[nodiscard]] std::uint64_t messages_lost() const { return lost_; }
 
@@ -145,15 +159,41 @@ class SimNetwork {
   [[nodiscard]] Simulator& sim() { return sim_; }
 
  private:
+  /// One directed link out of a node.
+  struct Link {
+    NodeId to = 0;
+    /// False until set_link: the link then follows default_link_.
+    bool overridden = false;
+    LinkParams params;
+    /// FIFO serialization: the time the link finishes its last transmission.
+    SimTime busy_until = 0.0;
+  };
+  struct Node {
+    /// Empty while the handler runs: deliver() moves it to the stack so
+    /// the handler may attach, detach or grow nodes_ safely.
+    Handler handler;
+    bool attached = false;
+    TrafficStats traffic;
+    /// Outgoing links, sorted by `to`.
+    std::vector<Link> links;
+  };
+  struct InFlight {
+    Message message;
+    std::uint64_t flow_id = 0;
+  };
+
+  Node& node(NodeId id);
+  [[nodiscard]] const Link* find_link(NodeId from, NodeId to) const;
+  Link& link_entry(NodeId from, NodeId to);
+  void deliver(std::uint32_t slot);
   [[nodiscard]] std::array<telemetry::Counter, 2>& type_metrics(int type);
+
   Simulator& sim_;
   Rng loss_rng_{0x1055ee7dULL};
   std::uint64_t lost_ = 0;
   LinkParams default_link_;
-  std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
-  std::map<std::pair<NodeId, NodeId>, SimTime> link_busy_until_;
-  std::map<NodeId, Handler> handlers_;
-  std::map<NodeId, TrafficStats> stats_;
+  std::vector<Node> nodes_;
+  SlotPool<InFlight> in_flight_;
   std::map<int, TypeTraffic> traffic_by_type_;
   std::map<int, std::string> type_names_;
 

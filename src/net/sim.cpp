@@ -6,7 +6,9 @@
 namespace edr::net {
 
 void Simulator::schedule_at(SimTime when, Task task) {
-  queue_.push({std::max(when, now_), next_seq_++, std::move(task)});
+  heap_.push_back(
+      {std::max(when, now_), next_seq_++, tasks_.put(std::move(task))});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   events_scheduled_metric_.add(1);
 }
 
@@ -15,17 +17,19 @@ void Simulator::schedule_after(SimTime delay, Task task) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
+  if (heap_.empty()) return false;
   // Task must be moved out before execution: the task may schedule new
-  // events and reallocate the queue.
-  Event event = queue_.top();
-  queue_.pop();
-  now_ = event.time;
+  // events, which can reuse its slot or grow the pool.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  Task task = tasks_.take(key.slot);
+  now_ = key.time;
   ++executed_;
   events_executed_metric_.add(1);
-  queue_depth_metric_.set(static_cast<double>(queue_.size()));
+  queue_depth_metric_.set(static_cast<double>(heap_.size()));
   sim_time_metric_.set(now_);
-  event.task();
+  task();
   return true;
 }
 
@@ -37,7 +41,7 @@ std::size_t Simulator::run(std::size_t limit) {
 
 std::size_t Simulator::run_until(SimTime horizon) {
   std::size_t count = 0;
-  while (!queue_.empty() && queue_.top().time <= horizon) {
+  while (!heap_.empty() && heap_.front().time <= horizon) {
     step();
     ++count;
   }

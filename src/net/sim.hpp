@@ -5,14 +5,21 @@
 // file transfers, power sampling) runs as events on this queue.  Ties are
 // broken by insertion order, so a run is a pure function of its inputs and
 // seeds — the property every reproduction test leans on.
+//
+// The queue is a binary min-heap of small (time, seq, slot) keys in a
+// std::vector.  (time, seq) is unique, so every heap layout pops the same
+// order.  Tasks wait in a reusable slot array and never move while queued;
+// step() moves the earliest one out of its slot before running it.  So a
+// task, and the Message or std::any it may capture, is never copied, and
+// sifting the heap moves 24-byte keys rather than std::function objects.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/units.hpp"
+#include "net/slot_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace edr::net {
@@ -43,8 +50,8 @@ class Simulator {
   /// the horizon remain queued.
   std::size_t run_until(SimTime horizon);
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Wire the event-loop metrics (events executed, queue depth, clock
@@ -54,19 +61,23 @@ class Simulator {
   void attach_telemetry(telemetry::Telemetry& telemetry);
 
  private:
-  struct Event {
+  /// Heap entry: the event's order key and the slot holding its task.
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    Task task;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Heap under Later: heap_.front() is the earliest (time, seq).
+  std::vector<Key> heap_;
+  /// Queued tasks, by Key::slot.
+  SlotPool<Task> tasks_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

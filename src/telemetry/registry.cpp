@@ -8,24 +8,25 @@ namespace edr::telemetry {
 namespace detail {
 
 CounterSlot* counter_sink() {
-  // Atomic so concurrent sink writes from the threaded path stay defined.
-  static CounterSlot sink{0, /*atomic=*/true};
+  // Lossy so concurrent sink writes from the threaded path stay defined
+  // without paying for a read-modify-write on every update.
+  static CounterSlot sink{0, SlotSync::kLossy};
   return &sink;
 }
 
 GaugeSlot* gauge_sink() {
-  static GaugeSlot sink{0.0, /*atomic=*/true};
+  static GaugeSlot sink{0.0, SlotSync::kLossy};
   return &sink;
 }
 
 HistogramSlot* histogram_sink() {
-  static HistogramSlot sink{{}, {0}, 0.0, 0, /*atomic=*/true};
+  static HistogramSlot sink{{}, {0}, 0.0, 0, SlotSync::kLossy};
   return &sink;
 }
 
 void reset_sinks() {
-  *counter_sink() = CounterSlot{0, /*atomic=*/true};
-  *gauge_sink() = GaugeSlot{0.0, /*atomic=*/true};
+  *counter_sink() = CounterSlot{0, SlotSync::kLossy};
+  *gauge_sink() = GaugeSlot{0.0, SlotSync::kLossy};
   auto* histogram = histogram_sink();
   histogram->bounds.clear();
   histogram->counts.assign(1, 0);
@@ -41,33 +42,17 @@ void Histogram::observe(double value) {
   std::size_t bucket = 0;
   while (bucket < slot->bounds.size() && value > slot->bounds[bucket])
     ++bucket;
-  if (slot->atomic) {
-    std::atomic_ref<std::uint64_t>(slot->counts[bucket])
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(slot->count)
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<double> sum(slot->sum);
-    double expected = sum.load(std::memory_order_relaxed);
-    while (!sum.compare_exchange_weak(expected, expected + value,
-                                      std::memory_order_relaxed)) {
-    }
-  } else {
-    slot->counts[bucket] += 1;
-    slot->count += 1;
-    slot->sum += value;
-  }
+  detail::slot_add(slot->counts[bucket], std::uint64_t{1}, slot->sync);
+  detail::slot_add(slot->count, std::uint64_t{1}, slot->sync);
+  detail::slot_add(slot->sum, value, slot->sync);
 }
 
 std::uint64_t Histogram::count() const {
-  return slot_->atomic ? std::atomic_ref<const std::uint64_t>(slot_->count)
-                             .load(std::memory_order_relaxed)
-                       : slot_->count;
+  return detail::slot_load(slot_->count, slot_->sync);
 }
 
 double Histogram::sum() const {
-  return slot_->atomic ? std::atomic_ref<const double>(slot_->sum)
-                             .load(std::memory_order_relaxed)
-                       : slot_->sum;
+  return detail::slot_load(slot_->sum, slot_->sync);
 }
 
 double Histogram::mean() const {
@@ -103,7 +88,7 @@ Counter MetricsRegistry::counter(std::string_view name) {
   const std::scoped_lock lock{mutex_};
   if (const auto it = counter_index_.find(name); it != counter_index_.end())
     return Counter{it->second};
-  counter_slots_.push_back({0, atomic_});
+  counter_slots_.push_back({0, slot_sync()});
   auto* slot = &counter_slots_.back();
   counter_index_.emplace(std::string{name}, slot);
   return Counter{slot};
@@ -113,7 +98,7 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
   const std::scoped_lock lock{mutex_};
   if (const auto it = gauge_index_.find(name); it != gauge_index_.end())
     return Gauge{it->second};
-  gauge_slots_.push_back({0.0, atomic_});
+  gauge_slots_.push_back({0.0, slot_sync()});
   auto* slot = &gauge_slots_.back();
   gauge_index_.emplace(std::string{name}, slot);
   return Gauge{slot};
@@ -133,7 +118,7 @@ Histogram MetricsRegistry::histogram(std::string_view name,
   detail::HistogramSlot slot;
   slot.counts.assign(bounds.size() + 1, 0);
   slot.bounds = std::move(bounds);
-  slot.atomic = atomic_;
+  slot.sync = slot_sync();
   histogram_slots_.push_back(std::move(slot));
   auto* stored = &histogram_slots_.back();
   histogram_index_.emplace(std::string{name}, stored);

@@ -2,15 +2,22 @@
 //
 // Designed to live on hot paths of the simulator: a handle is one pointer
 // to a plain slot owned by the registry, so an update is a single add or
-// store.  The simulator is single-threaded, so slots are unsynchronized by
-// default; a registry created with atomic=true (used by the threaded-LDDM
-// topology) upgrades every update to a relaxed std::atomic_ref operation.
+// store.  Each slot carries its update mode (SlotSync):
+//  - kPlain: unsynchronized.  The default registry; the simulator is
+//    single-threaded.
+//  - kAtomic: relaxed std::atomic_ref read-modify-writes, exact under
+//    contention.  A registry created with atomic=true (the threaded
+//    transport path) uses it.
+//  - kLossy: a relaxed atomic load followed by a relaxed store, no RMW.
+//    Used by the process-wide sink slots below.
 //
-// Default-constructed handles point at a process-wide sink slot, so code
-// can update metrics unconditionally — a component that was never attached
-// to a Telemetry context pays one wasted add per update and nothing else.
-// That sink is what makes the disabled state no-op cheap without a branch
-// at every call site.
+// Default-constructed handles point at those sink slots, so code can
+// update metrics unconditionally.  A component that was never attached to
+// a Telemetry context pays a plain load and store per update (no
+// lock-prefixed instruction, no CAS loop) and nothing else.  Concurrent
+// sink writes from several threads stay race-free but may lose updates;
+// single-threaded sink counts stay exact.  That sink is what makes the
+// disabled state no-op cheap without a branch at every call site.
 #pragma once
 
 #include <atomic>
@@ -27,14 +34,17 @@ namespace edr::telemetry {
 
 namespace detail {
 
+/// How updates to a slot synchronize (see the header comment).
+enum class SlotSync : std::uint8_t { kPlain, kAtomic, kLossy };
+
 struct CounterSlot {
   std::uint64_t value = 0;
-  bool atomic = false;
+  SlotSync sync = SlotSync::kPlain;
 };
 
 struct GaugeSlot {
   double value = 0.0;
-  bool atomic = false;
+  SlotSync sync = SlotSync::kPlain;
 };
 
 struct HistogramSlot {
@@ -44,8 +54,41 @@ struct HistogramSlot {
   std::vector<std::uint64_t> counts;
   double sum = 0.0;
   std::uint64_t count = 0;
-  bool atomic = false;
+  SlotSync sync = SlotSync::kPlain;
 };
+
+template <typename T>
+void slot_add(T& value, T delta, SlotSync sync) {
+  switch (sync) {
+    case SlotSync::kPlain:
+      value += delta;
+      return;
+    case SlotSync::kAtomic:
+      std::atomic_ref<T>(value).fetch_add(delta, std::memory_order_relaxed);
+      return;
+    case SlotSync::kLossy: {
+      std::atomic_ref<T> ref(value);
+      ref.store(ref.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
+template <typename T>
+void slot_store(T& value, T v, SlotSync sync) {
+  if (sync == SlotSync::kPlain)
+    value = v;
+  else
+    std::atomic_ref<T>(value).store(v, std::memory_order_relaxed);
+}
+
+template <typename T>
+[[nodiscard]] T slot_load(const T& value, SlotSync sync) {
+  return sync == SlotSync::kPlain
+             ? value
+             : std::atomic_ref<const T>(value).load(std::memory_order_relaxed);
+}
 
 CounterSlot* counter_sink();
 GaugeSlot* gauge_sink();
@@ -64,18 +107,11 @@ class Counter {
   Counter() : slot_(detail::counter_sink()) {}
 
   void add(std::uint64_t delta = 1) {
-    if (slot_->atomic) {
-      std::atomic_ref<std::uint64_t>(slot_->value)
-          .fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      slot_->value += delta;
-    }
+    detail::slot_add(slot_->value, delta, slot_->sync);
   }
 
   [[nodiscard]] std::uint64_t value() const {
-    return slot_->atomic ? std::atomic_ref<const std::uint64_t>(slot_->value)
-                               .load(std::memory_order_relaxed)
-                         : slot_->value;
+    return detail::slot_load(slot_->value, slot_->sync);
   }
 
  private:
@@ -89,30 +125,15 @@ class Gauge {
   Gauge() : slot_(detail::gauge_sink()) {}
 
   void set(double value) {
-    if (slot_->atomic) {
-      std::atomic_ref<double>(slot_->value)
-          .store(value, std::memory_order_relaxed);
-    } else {
-      slot_->value = value;
-    }
+    detail::slot_store(slot_->value, value, slot_->sync);
   }
 
   void add(double delta) {
-    if (slot_->atomic) {
-      std::atomic_ref<double> ref(slot_->value);
-      double expected = ref.load(std::memory_order_relaxed);
-      while (!ref.compare_exchange_weak(expected, expected + delta,
-                                        std::memory_order_relaxed)) {
-      }
-    } else {
-      slot_->value += delta;
-    }
+    detail::slot_add(slot_->value, delta, slot_->sync);
   }
 
   [[nodiscard]] double value() const {
-    return slot_->atomic ? std::atomic_ref<const double>(slot_->value)
-                               .load(std::memory_order_relaxed)
-                         : slot_->value;
+    return detail::slot_load(slot_->value, slot_->sync);
   }
 
  private:
@@ -195,6 +216,10 @@ class MetricsRegistry {
   [[nodiscard]] static std::vector<double> response_bounds_ms();
 
  private:
+  [[nodiscard]] detail::SlotSync slot_sync() const {
+    return atomic_ ? detail::SlotSync::kAtomic : detail::SlotSync::kPlain;
+  }
+
   bool atomic_;
   mutable std::mutex mutex_;
   // Deques give slot pointers stability across registrations.

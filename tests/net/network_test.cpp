@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace edr::net {
@@ -265,6 +266,124 @@ TEST(SimNetwork, PayloadSurvivesDelivery) {
   network.send(std::move(msg));
   sim.run();
   EXPECT_EQ(received, 42);
+}
+
+TEST(SimNetwork, SendsFromInsideADeliveryKeepEveryPayload) {
+  // The handler's own message must stay valid while it sends enough
+  // messages to grow the in-flight slot array under it.
+  Simulator sim;
+  SimNetwork network{sim};
+  std::vector<std::string> received;
+  network.attach(2, [&](const Message& msg) {
+    if (std::any_cast<const std::string&>(msg.payload) == "seed") {
+      for (int i = 0; i < 100; ++i) {
+        Message echo;
+        echo.from = 2;
+        echo.to = 2;
+        echo.payload = "payload number " + std::to_string(i) +
+                       " (long enough to live on the heap)";
+        network.send(std::move(echo));
+      }
+    }
+    received.push_back(std::any_cast<const std::string&>(msg.payload));
+  });
+  Message seed;
+  seed.from = 1;
+  seed.to = 2;
+  seed.payload = std::string{"seed"};
+  network.send(std::move(seed));
+  sim.run();
+  ASSERT_EQ(received.size(), 101u);
+  EXPECT_EQ(received[0], "seed");
+  for (std::size_t i = 0; i < 100; ++i)
+    EXPECT_EQ(received[i + 1], "payload number " + std::to_string(i) +
+                                   " (long enough to live on the heap)");
+}
+
+TEST(SimNetwork, HandlerMayAttachAHigherNode) {
+  // Attaching node 5000 grows the per-node table while node 1's handler
+  // runs; the handler's captures must survive (ASan checks the reads).
+  Simulator sim;
+  SimNetwork network{sim};
+  std::vector<int> log;
+  network.attach(1, [&network, &log](const Message&) {
+    network.attach(5000, [&log](const Message&) { log.push_back(5000); });
+    log.push_back(1);
+  });
+  Message msg;
+  msg.from = 0;
+  msg.to = 1;
+  network.send(std::move(msg));
+  sim.run();
+  msg = Message{};
+  msg.from = 1;
+  msg.to = 5000;
+  network.send(std::move(msg));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 5000}));
+  EXPECT_TRUE(network.attached(1));
+}
+
+TEST(SimNetwork, HandlerMayDetachOrReplaceItsOwnNode) {
+  // Each handler reads a capture after dropping its own registration; the
+  // running closure must outlive that (ASan checks the reads).
+  Fixture f;
+  auto& network = f.network;
+  std::vector<int> log;
+  network.attach(2, [&network, &log](const Message&) {
+    network.detach(2);
+    log.push_back(2);
+  });
+  network.attach(3, [&network, &log](const Message&) {
+    network.attach(3, [&log](const Message&) { log.push_back(30); });
+    log.push_back(3);
+  });
+  for (int round = 0; round < 2; ++round) {
+    network.send(f.make(1, 2));
+    network.send(f.make(1, 3));
+    f.sim.run();
+  }
+  EXPECT_EQ(log, (std::vector<int>{2, 3, 30}));
+  EXPECT_FALSE(network.attached(2));
+  EXPECT_TRUE(network.attached(3));
+}
+
+TEST(SimNetwork, SetLinkIsDirected) {
+  Fixture f;
+  f.network.set_link(1, 2, {.latency = 9.0, .bandwidth_mbps = 3.0});
+  EXPECT_DOUBLE_EQ(f.network.link(1, 2).latency, 9.0);
+  const LinkParams reverse = f.network.link(2, 1);
+  const LinkParams fallback;
+  EXPECT_DOUBLE_EQ(reverse.latency, fallback.latency);
+  EXPECT_DOUBLE_EQ(reverse.bandwidth_mbps, fallback.bandwidth_mbps);
+  EXPECT_DOUBLE_EQ(reverse.loss_probability, fallback.loss_probability);
+}
+
+TEST(SimNetwork, TrafficOnlyPairFollowsALaterDefaultLink) {
+  // A pair with FIFO state but no override keeps using the default link.
+  Fixture f;
+  f.attach(2);
+  f.network.send(f.make(1, 2));
+  f.sim.run();
+  f.network.set_default_link({.latency = 7.0, .bandwidth_mbps = 100.0});
+  EXPECT_DOUBLE_EQ(f.network.link(1, 2).latency, 7.0);
+  const SimTime sent_at = f.sim.now();
+  f.network.send(f.make(1, 2));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 2u);
+  EXPECT_NEAR(f.deliveries[1].second - sent_at, 0.007, 1e-12);
+}
+
+TEST(SimNetwork, TrackedNodesCountsOnlySendersAndReceivers) {
+  Fixture f;
+  for (NodeId n = 1; n <= 5; ++n) f.attach(n);
+  f.attach(50);
+  f.network.set_link(10, 20, {.latency = 1.0, .bandwidth_mbps = 1.0});
+  EXPECT_EQ(f.network.tracked_nodes(), 0u);
+  f.network.send(f.make(1, 2));
+  f.network.send(f.make(3, 40));  // 40 is not attached: dropped
+  f.sim.run();
+  EXPECT_EQ(f.network.tracked_nodes(), 3u);  // 1, 2 and 3
 }
 
 }  // namespace

@@ -89,5 +89,41 @@ TEST(Simulator, StepOnEmptyQueueReturnsFalse) {
   EXPECT_EQ(sim.executed(), 0u);
 }
 
+/// Counts copies of itself; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* runs;
+  CopyCounter(int* c, int* r) : copies(c), runs(r) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter& other) {
+    copies = other.copies;
+    runs = other.runs;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(Simulator, NeverCopiesATask) {
+  // Tasks capture whole Messages (std::any payloads included); the heap
+  // must move them in, around and out, never copy.
+  Simulator sim;
+  int copies = 0;
+  int runs = 0;
+  for (int i = 0; i < 64; ++i)
+    sim.schedule_at(static_cast<double>((i * 37) % 64),
+                    CopyCounter{&copies, &runs});
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.run_until(20.0), 20u);
+  EXPECT_EQ(sim.run(), 43u);
+  EXPECT_EQ(runs, 64);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace edr::net

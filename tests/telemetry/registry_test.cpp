@@ -260,5 +260,52 @@ TEST(MetricsRegistry, AtomicModeCountsAcrossThreads) {
   EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(kThreads) * kIncrements);
 }
 
+TEST(TelemetrySink, ConcurrentDefaultHandlesAreRaceFree) {
+  // Default handles of components on different threads share the
+  // process-wide sink slots.  Their updates are relaxed atomic loads and
+  // stores (no RMW): race-free under TSan, possibly lossy under
+  // contention, exact on one thread.
+  constexpr int kThreads = 4;
+  constexpr int kUpdates = 10000;
+  detail::reset_sinks();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([t] {
+      Counter counter;
+      Gauge gauge;
+      Histogram histogram;
+      for (int i = 0; i < kUpdates; ++i) {
+        counter.add(1);
+        gauge.set(static_cast<double>(t));
+        gauge.add(1.0);
+        histogram.observe(0.5);
+        (void)counter.value();
+        (void)histogram.count();
+      }
+    });
+  for (auto& worker : workers) worker.join();
+  const auto total = static_cast<std::uint64_t>(kThreads) * kUpdates;
+  EXPECT_GE(Counter{}.value(), 1u);
+  EXPECT_LE(Counter{}.value(), total);
+  EXPECT_GE(Histogram{}.count(), 1u);
+  EXPECT_LE(Histogram{}.count(), total);
+  EXPECT_LE(Histogram{}.sum(), 0.5 * static_cast<double>(total));
+
+  detail::reset_sinks();
+  std::thread single([] {
+    Counter counter;
+    Histogram histogram;
+    for (int i = 0; i < kUpdates; ++i) {
+      counter.add(2);
+      histogram.observe(0.5);
+    }
+  });
+  single.join();
+  EXPECT_EQ(Counter{}.value(), 2u * kUpdates);
+  EXPECT_EQ(Histogram{}.count(), static_cast<std::uint64_t>(kUpdates));
+  EXPECT_DOUBLE_EQ(Histogram{}.sum(), 0.5 * kUpdates);
+  detail::reset_sinks();
+}
+
 }  // namespace
 }  // namespace edr::telemetry
