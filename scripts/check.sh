@@ -37,7 +37,8 @@ echo
 echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 # Only the tests that actually exercise concurrency: LDDM against the
 # central optimum on the live runtime (one thread per replica over the
-# in-process transport), the mailbox transport itself, the atomic metrics registry,
+# in-process transport), sim<->live epoch parity (the same replica
+# threads for every backend), the mailbox transport itself, the atomic metrics registry,
 # the lossy process-wide sink slots behind default metric handles
 # (TelemetrySink), the fork-join ThreadPool,
 # the parallel projection sweeps, and the golden-equivalence sweep that runs
@@ -52,7 +53,7 @@ cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
            test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'LddmMatchesCentralUnderRealThreads|AtomicModeCountsAcrossThreads|TelemetrySink|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'LddmMatchesCentralUnderRealThreads|EpochsMatchTheSimulator|AtomicModeCountsAcrossThreads|TelemetrySink|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="

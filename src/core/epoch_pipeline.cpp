@@ -1,13 +1,10 @@
 #include "core/epoch_pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/log.hpp"
 #include "common/math_util.hpp"
-#include "core/epoch_problem.hpp"
-#include "optim/flow.hpp"
 
 namespace edr::core {
 
@@ -17,17 +14,7 @@ telemetry::EventTracer& EpochPipeline::tracer() {
 }
 
 EpochContext EpochPipeline::context() const {
-  EpochContext ctx;
-  ctx.problem = problem_ ? &*problem_ : nullptr;
-  ctx.active_replicas = &active_replicas_;
-  ctx.active_clients = &active_clients_;
-  ctx.requests = &current_requests_;
-  ctx.replica_alive = &alive_;
-  ctx.num_replicas = num_replicas_;
-  ctx.num_clients = num_clients_;
-  ctx.num_solvers = num_solvers_;
-  ctx.telemetry = cfg_.telemetry.get();
-  return ctx;
+  return batch_.context(num_clients_, num_solvers_, cfg_.telemetry.get());
 }
 
 EpochPipeline::EpochPipeline(SystemConfig config, PipelinePolicy policy,
@@ -68,7 +55,7 @@ EpochPipeline::EpochPipeline(SystemConfig config, PipelinePolicy policy,
   }
 
   timelines_.resize(num_replicas_);
-  alive_.assign(num_replicas_, true);
+  batch_.alive.assign(num_replicas_, true);
   death_time_.assign(num_replicas_, -1.0);
   down_intervals_.resize(num_replicas_);
   transfer_until_.assign(num_replicas_, 0.0);
@@ -161,14 +148,9 @@ void EpochPipeline::bucket_requests() {
       std::max(trace_.horizon(), cfg_.epoch_length) + 1e-9;
   const auto num_epochs =
       static_cast<std::size_t>(horizon / cfg_.epoch_length) + 1;
-  epoch_buckets_.assign(num_epochs, {});
+  epoch_buckets_ = bucket_by_epoch(trace_.requests(), num_clients_,
+                                   cfg_.epoch_length, num_epochs);
   for (const auto& request : trace_.requests()) {
-    if (request.client >= num_clients_)
-      throw std::invalid_argument("EdrSystem: request client out of range");
-    const auto epoch =
-        static_cast<std::size_t>(request.arrival / cfg_.epoch_length);
-    epoch_buckets_[epoch].push_back(
-        {request.id, request.client, request.arrival, request.size_mb});
     // The client announces the request to the solvers responsible for it
     // at arrival time (the paper's ClientListener path); tiny control
     // message.
@@ -176,7 +158,7 @@ void EpochPipeline::bucket_requests() {
       announce_scratch_.clear();
       algorithm_->announce_targets(c, num_solvers_, announce_scratch_);
       for (const std::size_t s : announce_scratch_) {
-        if (policy_.solvers_are_replicas && !alive_[s]) continue;
+        if (policy_.solvers_are_replicas && !batch_.alive[s]) continue;
         send_control(client_node(c), solver_node(s),
                      algorithm_->announce_type(), 28);
       }
@@ -211,7 +193,7 @@ void EpochPipeline::send_control(net::NodeId from, net::NodeId to, int type,
 
 void EpochPipeline::on_solver_message(std::size_t s,
                                       const net::Message& msg) {
-  if (policy_.solvers_are_replicas && !alive_[s]) return;
+  if (policy_.solvers_are_replicas && !batch_.alive[s]) return;
   if (msg.type >= 100 && msg.type < 200) {
     if (s < rings_.size()) rings_[s]->handle(msg);
     return;
@@ -235,11 +217,11 @@ void EpochPipeline::on_client_message(std::size_t c,
 
 void EpochPipeline::inject_failure(std::size_t n, SimTime when) {
   sim_.schedule_at(when, [this, n] {
-    if (!alive_[n]) return;
+    if (!batch_.alive[n]) return;
     logf(LogLevel::kInfo, "edr: replica %zu crashes at t=%.3f", n,
          sim_.now());
     tracer().instant("replica_crash", "fault", solver_node(n));
-    alive_[n] = false;
+    batch_.alive[n] = false;
     death_time_[n] = sim_.now();
     timelines_[n].set(sim_.now(), power::Activity::kIdle);
     down_intervals_[n].emplace_back(sim_.now(), -1.0);
@@ -257,11 +239,11 @@ void EpochPipeline::inject_failure(std::size_t n, SimTime when) {
 
 void EpochPipeline::inject_recovery(std::size_t n, SimTime when) {
   sim_.schedule_at(when, [this, n] {
-    if (alive_[n]) return;
+    if (batch_.alive[n]) return;
     logf(LogLevel::kInfo, "edr: replica %zu recovers at t=%.3f", n,
          sim_.now());
     tracer().instant("replica_recover", "fault", solver_node(n));
-    alive_[n] = true;
+    batch_.alive[n] = true;
     death_time_[n] = -1.0;
     if (!down_intervals_[n].empty() &&
         down_intervals_[n].back().second < 0.0)
@@ -275,7 +257,7 @@ void EpochPipeline::inject_recovery(std::size_t n, SimTime when) {
       // view, which a real node would fetch from a seed member).
       std::vector<net::NodeId> survivors;
       for (std::size_t m = 0; m < num_replicas_; ++m)
-        if (alive_[m]) survivors.push_back(solver_node(m));
+        if (batch_.alive[m]) survivors.push_back(solver_node(m));
       rings_[n]->rejoin(cluster::MemberList{survivors});
     }
   });
@@ -319,10 +301,10 @@ void EpochPipeline::inject_link_change(const LinkDegradation& change,
 
 void EpochPipeline::on_member_dead(net::NodeId dead) {
   const auto n = static_cast<std::size_t>(dead);
-  if (n < alive_.size() && alive_[n]) {
+  if (n < batch_.alive.size() && batch_.alive[n]) {
     // Peers detected the crash before the crash event ran (possible only
     // with aggressive timeouts); honor their verdict.
-    alive_[n] = false;
+    batch_.alive[n] = false;
     death_time_[n] = sim_.now();
     timelines_[n].set(sim_.now(), power::Activity::kIdle);
     down_intervals_[n].emplace_back(sim_.now(), -1.0);
@@ -346,15 +328,15 @@ void EpochPipeline::on_member_dead(net::NodeId dead) {
 void EpochPipeline::set_activity(std::size_t n, power::Activity activity,
                                  double intensity) {
   if (!policy_.model_power) return;
-  if (!alive_[n]) return;
+  if (!batch_.alive[n]) return;
   timelines_[n].set(sim_.now(), activity, intensity);
 }
 
 void EpochPipeline::set_all_selecting(bool selecting) {
   const double intensity = selection_intensity();
-  for (std::size_t col = 0; col < active_replicas_.size(); ++col) {
-    const std::size_t n = active_replicas_[col];
-    if (!alive_[n]) continue;
+  for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col) {
+    const std::size_t n = batch_.active_replicas[col];
+    if (!batch_.alive[n]) continue;
     if (sim_.now() < transfer_until_[n]) continue;  // still transferring
     set_activity(n, selecting ? power::Activity::kSelecting
                               : power::Activity::kIdle,
@@ -366,9 +348,9 @@ void EpochPipeline::set_all_selecting(bool selecting) {
 /// against the CDPSM 8-replica reference volume so heavier protocols sit
 /// visibly higher on the power traces (Fig 3 vs 4).
 double EpochPipeline::selection_intensity() const {
-  if (!problem_) return 0.5;
-  const double clients = static_cast<double>(problem_->num_clients());
-  const double replicas = static_cast<double>(problem_->num_replicas());
+  if (!batch_.problem) return 0.5;
+  const double clients = static_cast<double>(batch_.problem->num_clients());
+  const double replicas = static_cast<double>(batch_.problem->num_replicas());
   const double bytes = algorithm_->coordination_bytes(clients, replicas);
   const double reference = clients * replicas * 8.0 * 7.0;
   return clamp(bytes / reference, 0.1, 1.5);
@@ -385,95 +367,26 @@ void EpochPipeline::maybe_start_solve() {
 
 void EpochPipeline::start_solve(std::size_t epoch) {
   current_epoch_ = epoch;
-  current_requests_ = epoch_buckets_[epoch];
-  // Shed remainders from earlier epochs join whatever batch runs next.
-  for (auto& request : retry_backlog_) current_requests_.push_back(request);
-  retry_backlog_.clear();
   solve_started_ = sim_.now();
-
-  // Build the active problem: alive replicas, clients with demand.
-  active_replicas_.clear();
-  for (std::size_t n = 0; n < num_replicas_; ++n)
-    if (alive_[n]) active_replicas_.push_back(n);
-  if (active_replicas_.empty()) {
-    requests_dropped_ += current_requests_.size();
-    requests_dropped_metric_.add(current_requests_.size());
-    maybe_start_solve();
-    return;
-  }
-
-  demand_scratch_.assign(num_clients_, 0.0);
-  for (const auto& request : current_requests_)
-    demand_scratch_[request.client] += request.size_mb;
-
-  active_clients_.clear();
-  std::vector<Megabytes> demands;
-  kept_scratch_.clear();
-  for (std::uint32_t c = 0; c < num_clients_; ++c) {
-    if (demand_scratch_[c] <= 0.0) continue;
-    // Latency feasibility against the *alive* replica set (hosts that do
-    // not bound decision latency admit everyone).
-    bool reachable = !policy_.drop_unreachable_clients;
-    for (const std::size_t n : active_replicas_)
-      if (cfg_.latency(c, n) <= cfg_.max_latency) reachable = true;
-    if (!reachable) {
-      for (const auto& request : current_requests_)
-        if (request.client == c) {
-          ++requests_dropped_;
-          requests_dropped_metric_.add(1);
-        }
-      continue;
-    }
-    active_clients_.push_back(c);
-    demands.push_back(demand_scratch_[c]);
-  }
-  for (const auto& request : current_requests_)
-    for (const std::uint32_t c : active_clients_)
-      if (request.client == c) {
-        kept_scratch_.push_back(request);
-        break;
-      }
-  // Swap rather than move so the displaced buffer's capacity is reused by
-  // the next epoch's filter pass.
-  std::swap(current_requests_, kept_scratch_);
-
-  if (active_clients_.empty()) {
-    maybe_start_solve();
-    return;
-  }
-
-  // Problem construction is shared with the live runtime (replicas must
-  // build bit-identical instances from the same inputs) — see
+  // The batch is assembled exactly as a live replica assembles it — see
   // core/epoch_problem.hpp.
   const EpochProblemSpec spec{
       .cfg = &cfg_,
       .window = cfg_.epoch_length * policy_.transfer_window_fraction,
       .now = sim_.now(),
-      .active_clients = active_clients_,
-      .active_replicas = active_replicas_,
+      .active_clients = {},  // filled in by assemble()
+      .active_replicas = {},
       .models = models_,
       .shared_model = &power_model_};
-  problem_.emplace(make_epoch_problem(spec, std::move(demands)));
-
-  // Demand can exceed even the pooled epoch capacity under a traffic
-  // spike; shed proportionally (admission control) so the optimization
-  // stays feasible.  The shed fraction of each request re-enters the next
-  // epoch's batch (the client retry loop of a real deployment) until its
-  // retry budget runs out.
-  const double shed_fraction = shed_to_feasible(problem_, cfg_.max_latency);
-  if (shed_fraction > 0.0) {
-    for (auto& request : current_requests_) {
-      const double shed_mb = request.size_mb * shed_fraction;
-      request.size_mb -= shed_mb;
-      if (cfg_.retry_shed && request.retries < cfg_.max_retries) {
-        PendingRequest remainder = request;
-        remainder.size_mb = shed_mb;
-        remainder.retries += 1;
-        retry_backlog_.push_back(remainder);
-      } else {
-        report_.megabytes_abandoned += shed_mb;
-      }
-    }
+  const std::size_t dropped =
+      batch_.assemble(spec, epoch_buckets_[epoch],
+                      policy_.drop_unreachable_clients,
+                      report_.megabytes_abandoned);
+  requests_dropped_ += dropped;
+  requests_dropped_metric_.add(dropped);
+  if (!batch_.problem) {
+    maybe_start_solve();
+    return;
   }
 
   solve_in_flight_ = true;
@@ -490,7 +403,7 @@ void EpochPipeline::start_solve(std::size_t epoch) {
   // ClientListener path costs a fixed amount per request, which is what
   // makes decision latency grow with the batch size (Fig 9).
   const SimTime service_delay =
-      static_cast<double>(current_requests_.size()) *
+      static_cast<double>(batch_.requests.size()) *
       cfg_.request_service_seconds;
 
   algorithm_->begin_epoch(context());
@@ -527,8 +440,8 @@ void EpochPipeline::start_solve(std::size_t epoch) {
 /// Seconds of local compute per distributed round: seconds-per-entry times
 /// the |C|x|N| problem size times the backend's workload factor.
 SimTime EpochPipeline::compute_delay() const {
-  const double entries = static_cast<double>(problem_->num_clients()) *
-                         static_cast<double>(problem_->num_replicas());
+  const double entries = static_cast<double>(batch_.problem->num_clients()) *
+                         static_cast<double>(batch_.problem->num_replicas());
   return cfg_.compute_seconds_per_entry * entries *
          algorithm_->compute_factor(context());
 }
@@ -647,9 +560,9 @@ void EpochPipeline::finish_solve(Matrix allocation) {
   // though other replicas have room.  Account for it explicitly so the
   // megabyte ledger always balances.
   double placed = 0.0;
-  for (std::size_t col = 0; col < active_replicas_.size(); ++col)
+  for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col)
     placed += allocation.col_sum(col);
-  const double shortfall = problem_->total_demand() - placed;
+  const double shortfall = batch_.problem->total_demand() - placed;
   if (shortfall > 1e-9) report_.megabytes_abandoned += shortfall;
 
   // Transfers: replica col pushes its column total, paced over the
@@ -657,10 +570,10 @@ void EpochPipeline::finish_solve(Matrix allocation) {
   if (policy_.file_transfers) {
     const double window =
         cfg_.epoch_length * policy_.transfer_window_fraction;
-    for (std::size_t col = 0; col < active_replicas_.size(); ++col) {
-      const std::size_t n = active_replicas_[col];
+    for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col) {
+      const std::size_t n = batch_.active_replicas[col];
       const double load_mb = allocation.col_sum(col);
-      if (load_mb <= 1e-9 || !alive_[n]) continue;
+      if (load_mb <= 1e-9 || !batch_.alive[n]) continue;
       const double capacity_mb = cfg_.replicas[n].bandwidth * window;
       const double intensity = clamp(load_mb / capacity_mb, 0.0, 1.0);
       const double duration =
@@ -673,13 +586,13 @@ void EpochPipeline::finish_solve(Matrix allocation) {
       report_.replicas[n].assigned_mb += load_mb;
       report_.megabytes_served += load_mb;
       sim_.schedule_after(duration, [this, n] {
-        if (!alive_[n]) return;
+        if (!batch_.alive[n]) return;
         if (sim_.now() + 1e-12 >= transfer_until_[n])
           set_activity(n, power::Activity::kIdle, 0.0);
       });
     }
   }
-  for (const auto& request : current_requests_) {
+  for (const auto& request : batch_.requests) {
     if (request.retries == 0) {
       ++report_.requests_served;
       requests_served_metric_.add(1);
@@ -699,13 +612,13 @@ void EpochPipeline::finish_solve(Matrix allocation) {
 /// A retry backlog with no future organic epoch would strand; give it a
 /// synthetic epoch one epoch-length out.
 void EpochPipeline::schedule_backlog_epoch() {
-  if (retry_backlog_.empty() || solve_in_flight_ || !solve_queue_.empty() ||
-      synthetic_epoch_scheduled_)
+  if (batch_.retry_backlog.empty() || solve_in_flight_ ||
+      !solve_queue_.empty() || synthetic_epoch_scheduled_)
     return;
   synthetic_epoch_scheduled_ = true;
   sim_.schedule_after(cfg_.epoch_length, [this] {
     synthetic_epoch_scheduled_ = false;
-    if (retry_backlog_.empty()) return;
+    if (batch_.retry_backlog.empty()) return;
     epoch_buckets_.emplace_back();
     solve_queue_.push_back(epoch_buckets_.size() - 1);
     maybe_start_solve();
@@ -740,9 +653,9 @@ RunReport EpochPipeline::finalize() {
   if (policy_.model_power) {
     for (std::size_t n = 0; n < num_replicas_; ++n) {
       auto& rep = report_.replicas[n];
-      rep.alive = alive_[n];
+      rep.alive = batch_.alive[n];
       const SimTime horizon =
-          alive_[n] ? report_.makespan : std::max(death_time_[n], 0.0);
+          batch_.alive[n] ? report_.makespan : std::max(death_time_[n], 0.0);
       SimTime downtime = 0.0;
       for (const auto& [from, to] : down_intervals_[n]) {
         const SimTime end = to < 0.0 ? horizon : std::min(to, horizon);
@@ -789,7 +702,7 @@ RunReport EpochPipeline::finalize() {
       report_.total_active_energy += rep.active_energy;
     }
   }
-  for (const auto& request : retry_backlog_)
+  for (const auto& request : batch_.retry_backlog)
     report_.megabytes_abandoned += request.size_mb;
   // Coordination traffic comes from the network's per-type counters: the
   // protocol types live below 100 (the ring owns 100-199 and is membership

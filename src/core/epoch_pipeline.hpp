@@ -1,11 +1,11 @@
 // EpochPipeline — the algorithm-agnostic runtime every scheduler runs on.
 //
 // One pipeline instance drives a whole workload trace end to end:
-// membership (heartbeat ring, crash/recovery), per-epoch demand collection
-// and admission control, the solve loop (message rounds against a delivery
-// barrier for iterative backends, a single compute delay for one-shot
-// ones), assignment fan-out, paced file transfers, and power/energy
-// accounting.  Everything solver-specific is delegated to the attached
+// membership (heartbeat ring, crash/recovery), the epoch schedule (its
+// batches are assembled by core::EpochBatch, as on the live runtime), the
+// solve loop (message rounds against a delivery barrier for iterative
+// backends, a single compute delay for one-shot ones), assignment fan-out,
+// paced file transfers, and power/energy accounting.  Everything solver-specific is delegated to the attached
 // DistributedAlgorithm strategy; this file contains no per-algorithm
 // branches.
 //
@@ -20,10 +20,10 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/algorithm.hpp"
+#include "core/epoch_problem.hpp"
 #include "core/system.hpp"
 
 namespace edr::core {
@@ -108,7 +108,6 @@ class EpochPipeline {
 
   // --- per-replica state ---
   std::vector<power::ActivityTimeline> timelines_;
-  std::vector<bool> alive_;
   std::vector<SimTime> death_time_;
   std::vector<std::vector<std::pair<SimTime, SimTime>>> down_intervals_;
   std::vector<SimTime> transfer_until_;
@@ -120,25 +119,15 @@ class EpochPipeline {
   bool solve_in_flight_ = false;
   std::uint64_t solve_generation_ = 0;  // bumped on membership change
 
-  // state of the in-flight solve
+  // state of the in-flight solve; batch_.alive is also the membership view
+  // every handler checks
   std::size_t current_epoch_ = 0;
-  std::optional<optim::Problem> problem_;
-  std::vector<std::size_t> active_replicas_;   // problem column -> replica
-  std::vector<std::uint32_t> active_clients_;  // problem row -> client
-  std::vector<PendingRequest> current_requests_;
+  EpochBatch batch_;
   std::size_t round_msgs_pending_ = 0;
   std::uint64_t pending_generation_ = 0;
   SimTime solve_started_ = 0.0;
   std::vector<PlannedMessage> plan_scratch_;
   std::vector<std::size_t> announce_scratch_;
-  // Per-epoch build scratch for start_solve (same reuse pattern as the
-  // plan/announce scratch above): the per-client demand totals and the
-  // kept-requests filter buffer.
-  std::vector<double> demand_scratch_;
-  std::vector<PendingRequest> kept_scratch_;
-
-  /// Shed remainders awaiting the next scheduling opportunity.
-  std::vector<PendingRequest> retry_backlog_;
   bool synthetic_epoch_scheduled_ = false;
 
   std::map<std::size_t, std::size_t> expected_assignments_;

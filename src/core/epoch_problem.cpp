@@ -1,6 +1,7 @@
 #include "core/epoch_problem.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "optim/flow.hpp"
@@ -76,6 +77,118 @@ double shed_to_feasible(std::optional<optim::Problem>& problem,
   }
   problem.emplace(std::move(shed));
   return 1.0 - scale;
+}
+
+std::vector<std::vector<PendingRequest>> bucket_by_epoch(
+    std::span<const workload::Request> requests, std::size_t num_clients,
+    double epoch_length, std::size_t num_epochs) {
+  std::vector<std::vector<PendingRequest>> buckets(num_epochs);
+  for (const auto& request : requests) {
+    if (request.client >= num_clients)
+      throw std::invalid_argument("epoch: request client out of range");
+    const auto epoch = static_cast<std::size_t>(request.arrival / epoch_length);
+    if (epoch >= num_epochs) continue;  // beyond the schedule
+    buckets[epoch].push_back(
+        {request.id, request.client, request.arrival, request.size_mb});
+  }
+  return buckets;
+}
+
+std::size_t EpochBatch::assemble(EpochProblemSpec spec,
+                                 std::span<const PendingRequest> bucket,
+                                 bool drop_unreachable_clients,
+                                 Megabytes& abandoned_mb) {
+  const SystemConfig& cfg = *spec.cfg;
+  requests.assign(bucket.begin(), bucket.end());
+  // Shed remainders from earlier epochs join whatever batch runs next.
+  requests.insert(requests.end(), retry_backlog.begin(), retry_backlog.end());
+  retry_backlog.clear();
+  problem.reset();
+  active_clients.clear();
+
+  active_replicas.clear();
+  for (std::size_t n = 0; n < alive.size(); ++n)
+    if (alive[n]) active_replicas.push_back(n);
+  if (active_replicas.empty()) {
+    const std::size_t dropped = requests.size();
+    requests.clear();
+    return dropped;
+  }
+
+  demand_scratch_.assign(cfg.num_clients, 0.0);
+  for (const auto& request : requests)
+    demand_scratch_[request.client] += request.size_mb;
+
+  std::size_t dropped = 0;
+  std::vector<Megabytes> demands;
+  for (std::uint32_t c = 0; c < cfg.num_clients; ++c) {
+    if (demand_scratch_[c] <= 0.0) continue;
+    // Latency feasibility against the *alive* replica set (hosts that do
+    // not bound decision latency admit everyone).
+    bool reachable = !drop_unreachable_clients;
+    for (const std::size_t n : active_replicas)
+      if (cfg.latency(c, n) <= cfg.max_latency) reachable = true;
+    if (!reachable) {
+      for (const auto& request : requests)
+        if (request.client == c) ++dropped;
+      continue;
+    }
+    active_clients.push_back(c);
+    demands.push_back(demand_scratch_[c]);
+  }
+  kept_scratch_.clear();
+  for (const auto& request : requests)
+    for (const std::uint32_t c : active_clients)
+      if (request.client == c) {
+        kept_scratch_.push_back(request);
+        break;
+      }
+  // Swap rather than move so the displaced buffer's capacity is reused by
+  // the next epoch's filter pass.
+  std::swap(requests, kept_scratch_);
+  if (active_clients.empty()) return dropped;
+
+  spec.active_clients = active_clients;
+  spec.active_replicas = active_replicas;
+  problem.emplace(make_epoch_problem(spec, std::move(demands)));
+
+  // Demand can exceed even the pooled epoch capacity under a traffic
+  // spike; shed proportionally (admission control) so the optimization
+  // stays feasible.  The shed fraction of each request re-enters the next
+  // epoch's batch (the client retry loop of a real deployment) until its
+  // retry budget runs out.
+  const double shed_fraction = shed_to_feasible(problem, cfg.max_latency);
+  if (shed_fraction > 0.0) {
+    for (auto& request : requests) {
+      const double shed_mb = request.size_mb * shed_fraction;
+      request.size_mb -= shed_mb;
+      if (cfg.retry_shed && request.retries < cfg.max_retries) {
+        PendingRequest remainder = request;
+        remainder.size_mb = shed_mb;
+        remainder.retries += 1;
+        retry_backlog.push_back(remainder);
+      } else {
+        abandoned_mb += shed_mb;
+      }
+    }
+  }
+  return dropped;
+}
+
+EpochContext EpochBatch::context(std::size_t num_clients,
+                                 std::size_t num_solvers,
+                                 telemetry::Telemetry* telemetry) const {
+  EpochContext ctx;
+  ctx.problem = problem ? &*problem : nullptr;
+  ctx.active_replicas = &active_replicas;
+  ctx.active_clients = &active_clients;
+  ctx.requests = &requests;
+  ctx.replica_alive = &alive;
+  ctx.num_replicas = alive.size();
+  ctx.num_clients = num_clients;
+  ctx.num_solvers = num_solvers;
+  ctx.telemetry = telemetry;
+  return ctx;
 }
 
 }  // namespace edr::core

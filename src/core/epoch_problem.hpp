@@ -1,15 +1,15 @@
-// Per-epoch problem construction, shared by the simulator pipeline and the
-// live runtime.
+// One scheduling epoch, shared by the simulator pipeline (EpochPipeline)
+// and the live runtime (LiveReplica).
 //
-// The EDR paper's scheduler rebuilds its optimization instance at every
-// epoch boundary from the alive replica set, the batched demand, the
-// current tariff prices and the calibrated power model.  Both execution
-// modes — the event-driven simulator (EpochPipeline) and the real-process
-// runtime (src/runtime/) — must construct *bit-identical* instances from
-// the same inputs, otherwise deterministic state-machine replication across
-// transports breaks and the golden digests drift.  This module is the
-// single definition of that construction; keep the floating-point operation
-// order exactly as written.
+// The EDR paper's replicas batch arriving requests into epochs and rebuild
+// the optimization at every epoch boundary from the alive replica set, the
+// batched demand, the current prices and the calibrated power model.  Both
+// drivers must build *bit-identical* instances from the same inputs, or
+// replication across transports breaks, the golden digests drift, and sim
+// and live epochs stop comparing 1:1.  This module is the single
+// definition: bucket_by_epoch, then EpochBatch::assemble (backlog merge,
+// reachability, problem build, admission control, retry remainders) and
+// EpochBatch::context.  Keep the floating-point operation order as written.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/algorithm.hpp"
 #include "core/system.hpp"
 #include "optim/problem.hpp"
 #include "power/model.hpp"
@@ -62,5 +63,47 @@ struct EpochProblemSpec {
 /// re-queues them through its retry backlog).
 double shed_to_feasible(std::optional<optim::Problem>& problem,
                         Milliseconds max_latency);
+
+/// Bucket `requests` into `num_epochs` epochs by floor(arrival /
+/// epoch_length), preserving order; requests past the last bucket are
+/// beyond the schedule and skipped.  Throws std::invalid_argument on a
+/// client id >= num_clients.
+[[nodiscard]] std::vector<std::vector<PendingRequest>> bucket_by_epoch(
+    std::span<const workload::Request> requests, std::size_t num_clients,
+    double epoch_length, std::size_t num_epochs);
+
+/// The in-flight epoch, reused epoch after epoch (buffers keep capacity).
+class EpochBatch {
+ public:
+  /// Liveness per replica id, kept current by the driver (the simulator
+  /// flips it on crash/recovery, also mid-solve; live copies kStart's mask).
+  std::vector<bool> alive;
+  /// Shed remainders awaiting the next assemble().
+  std::vector<PendingRequest> retry_backlog;
+
+  std::optional<optim::Problem> problem;      ///< empty: nothing to schedule
+  std::vector<std::size_t> active_replicas;   ///< problem column -> replica
+  std::vector<std::uint32_t> active_clients;  ///< problem row -> client
+  std::vector<PendingRequest> requests;       ///< sizes after shedding
+
+  /// Merge `bucket` with the retry backlog, keep clients with demand and
+  /// (under `drop_unreachable_clients`) a latency-feasible alive replica,
+  /// build the problem from `spec` (active spans filled here), shed to
+  /// feasibility and queue each remainder while its retry budget lasts;
+  /// spent ones are added to `abandoned_mb` request by request.  Returns
+  /// the requests dropped: all with no alive replica, else unreachable
+  /// clients' ones.
+  std::size_t assemble(EpochProblemSpec spec,
+                       std::span<const PendingRequest> bucket,
+                       bool drop_unreachable_clients, Megabytes& abandoned_mb);
+
+  [[nodiscard]] EpochContext context(std::size_t num_clients,
+                                     std::size_t num_solvers,
+                                     telemetry::Telemetry* telemetry) const;
+
+ private:
+  std::vector<double> demand_scratch_;
+  std::vector<PendingRequest> kept_scratch_;
+};
 
 }  // namespace edr::core

@@ -331,6 +331,8 @@ LiveConfig decode_config(const net::Message& msg,
     request.arrival = r.get_double();
     request.size_mb = r.get_double();
     request.object_id = r.get_u64();
+    if (!workload::well_formed(request))
+      throw std::out_of_range{"live: request arrival or size out of range"};
     config.requests.push_back(request);
   }
   return config;

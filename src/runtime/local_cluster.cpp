@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace edr::runtime {
@@ -64,6 +65,14 @@ LocalCluster::LocalCluster(LiveConfig config, LocalClusterOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
   const auto n = config_.num_replicas();
   if (n == 0) throw std::invalid_argument("LocalCluster: no replicas");
+  // Frame faults and connection resets act on a TcpTransport; over inproc
+  // they would silently do nothing.
+  for (const auto& action : options_.chaos.actions)
+    if (options_.transport == LiveTransport::kInproc &&
+        action.kind != ChaosKind::kKill && action.kind != ChaosKind::kRestart)
+      throw std::invalid_argument(std::string{"LocalCluster: chaos action "} +
+                                  to_string(action.kind) +
+                                  " needs the tcp transport");
   coordinator_id_ = static_cast<net::NodeId>(n);
   nodes_.resize(n);
 

@@ -74,11 +74,13 @@ ReplicaExit LiveReplica::run() {
           models_.emplace_back(params);
         if (observer_ != nullptr) observer_->set_power_params(config_->power);
         algorithm_.reset();
-        retry_backlog_.clear();
+        batch_.retry_backlog.clear();
         // pending_rounds_ survives deliberately: over TCP a fast peer's
         // first round frame can arrive on its own connection before the
         // coordinator's config frame is drained from the shared inbox.
-        bucket_requests();
+        epoch_buckets_ =
+            core::bucket_by_epoch(config_->requests, config_->num_clients,
+                                  config_->epoch_length, config_->epochs);
         break;
       }
       case kPeers:
@@ -117,7 +119,6 @@ void LiveReplica::apply_peers(const LivePeers& peers) {
   if (observer_ != nullptr)
     observer_->flow_in(peers.trace, "peers", "live_ctl");
   generation_ = std::max(generation_, peers.generation);
-  scheduled_ = peers.alive;
   for (const auto& entry : peers.peers) {
     if (entry.node == bus_.self() || entry.port == 0) continue;
     bus_.connect_peer(entry.node, "127.0.0.1", entry.port);
@@ -131,20 +132,7 @@ void LiveReplica::rebuild_for_generation(std::uint64_t generation) {
   // determinism requires discarding both on a generation bump.
   algorithm_ = core::make_algorithm(system_config_);
   algorithm_generation_ = generation;
-  retry_backlog_.clear();
-}
-
-void LiveReplica::bucket_requests() {
-  epoch_buckets_.assign(config_->epochs, {});
-  for (const auto& request : config_->requests) {
-    if (request.client >= config_->num_clients)
-      throw std::invalid_argument("live: request client out of range");
-    const auto epoch =
-        static_cast<std::size_t>(request.arrival / config_->epoch_length);
-    if (epoch >= epoch_buckets_.size()) continue;  // beyond the schedule
-    epoch_buckets_[epoch].push_back(
-        {request.id, request.client, request.arrival, request.size_mb});
-  }
+  batch_.retry_backlog.clear();
 }
 
 LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
@@ -155,48 +143,27 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
   const auto num_clients = std::size_t{config_->num_clients};
   const std::uint64_t mismatches_before = digest_mismatches_;
 
-  // ---- batch assembly: identical arithmetic to EpochPipeline::start_solve
-  current_requests_ = epoch_buckets_[start.epoch];
-  for (auto& request : retry_backlog_) current_requests_.push_back(request);
-  retry_backlog_.clear();
-
-  active_replicas_.clear();
-  replica_alive_.assign(num_replicas, false);
-  for (std::size_t n = 0; n < num_replicas; ++n)
-    if (n < start.alive.size() && start.alive[n]) {
-      active_replicas_.push_back(n);
-      replica_alive_[n] = true;
-    }
-
-  std::vector<double> demand_by_client(num_clients, 0.0);
-  for (const auto& request : current_requests_)
-    demand_by_client[request.client] += request.size_mb;
-
-  active_clients_.clear();
-  std::vector<Megabytes> demands;
-  std::vector<core::PendingRequest> kept;
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    if (demand_by_client[c] <= 0.0) continue;
-    bool reachable = false;
-    for (const std::size_t n : active_replicas_)
-      if (config_->latency(c, n) <= config_->max_latency) reachable = true;
-    if (!reachable) continue;
-    active_clients_.push_back(c);
-    demands.push_back(demand_by_client[c]);
-  }
-  for (const auto& request : current_requests_)
-    for (const std::uint32_t c : active_clients_)
-      if (request.client == c) {
-        kept.push_back(request);
-        break;
-      }
-  current_requests_ = std::move(kept);
+  // ---- batch assembly (core/epoch_problem.hpp, shared with the simulator)
+  batch_.alive.assign(num_replicas, false);
+  for (std::size_t n = 0; n < num_replicas && n < start.alive.size(); ++n)
+    batch_.alive[n] = start.alive[n] != 0;
+  const core::EpochProblemSpec spec{
+      .cfg = &system_config_,
+      .window = config_->epoch_length * config_->transfer_window_fraction,
+      .now = start.now,
+      .active_clients = {},  // filled in by assemble()
+      .active_replicas = {},
+      .models = models_,
+      .shared_model = &shared_model_};
+  Megabytes abandoned_mb = 0.0;  // live keeps no drop/abandon ledger
+  batch_.assemble(spec, epoch_buckets_[start.epoch],
+                  /*drop_unreachable_clients=*/true, abandoned_mb);
 
   LiveEpochDone done_frame;
   done_frame.epoch = start.epoch;
   done_frame.generation = start.generation;
 
-  if (active_clients_.empty()) {
+  if (!batch_.problem) {
     // Nothing to schedule this epoch; agree on the empty allocation.
     done_frame.digest = digest_doubles(nullptr, 0);
     if (observer_ != nullptr)
@@ -208,40 +175,12 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
     return outcome;
   }
 
-  const core::EpochProblemSpec spec{
-      .cfg = &system_config_,
-      .window = config_->epoch_length * config_->transfer_window_fraction,
-      .now = start.now,
-      .active_clients = active_clients_,
-      .active_replicas = active_replicas_,
-      .models = models_,
-      .shared_model = &shared_model_};
-  problem_.emplace(core::make_epoch_problem(spec, std::move(demands)));
-
-  const double shed_fraction =
-      core::shed_to_feasible(problem_, config_->max_latency);
-  if (shed_fraction > 0.0) {
-    for (auto& request : current_requests_) {
-      const double shed_mb = request.size_mb * shed_fraction;
-      request.size_mb -= shed_mb;
-      if (config_->retry_shed && request.retries < config_->max_retries) {
-        core::PendingRequest remainder = request;
-        remainder.size_mb = shed_mb;
-        remainder.retries += 1;
-        retry_backlog_.push_back(remainder);
-      }
-    }
-  }
-
-  core::EpochContext ctx;
-  ctx.problem = &*problem_;
-  ctx.active_replicas = &active_replicas_;
-  ctx.active_clients = &active_clients_;
-  ctx.requests = &current_requests_;
-  ctx.replica_alive = &replica_alive_;
-  ctx.num_replicas = num_replicas;
-  ctx.num_clients = num_clients;
-  ctx.num_solvers = num_replicas;
+  // No telemetry context: the gated backends' observe() then emits no
+  // samples, so round digests hash empty sample lists.  Turning samples on
+  // shifts live timing enough to move the chaos suite's fault-epoch alerts,
+  // so it waits for a fix to peer-loss detection.
+  const core::EpochContext ctx = batch_.context(num_clients, num_replicas,
+                                                /*telemetry=*/nullptr);
   algorithm_->begin_epoch(ctx);
 
   // ---- lockstep rounds
@@ -282,7 +221,7 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
         bus_.post(
             encode_sample(bus_.self(), coordinator_, sample, sample_trace));
       }
-      for (const std::size_t n : active_replicas_) {
+      for (const std::size_t n : batch_.active_replicas) {
         if (n == bus_.self()) continue;
         if (observer_ != nullptr)
           frame.trace =
@@ -307,36 +246,11 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
     auto oneshot = algorithm_->solve_oneshot(ctx);
     if (!oneshot) {
       // The backend declined (e.g. its chosen coordinator replica is
-      // gone); stall until the coordinator re-generations the epoch.
+      // gone): report the stall, and let the main loop wait for the
+      // coordinator to re-generation the epoch.
       send_stall(start, round, {});
       algorithm_->abort_epoch();
-      const double stall_started = now_seconds();
-      while (true) {
-        const auto received = bus_.receive_for(0.25);
-        if (!received) {
-          if (now_seconds() - stall_started > options_.idle_timeout_s) {
-            outcome.bus_closed = true;
-            return outcome;
-          }
-          continue;
-        }
-        if (received->type == kStart) {
-          outcome.next_start =
-              decode_start(*received, bus_.max_frame_bytes());
-          if (observer_ != nullptr)
-            observer_->flow_in(outcome.next_start->trace, "start",
-                               "live_start");
-          return outcome;
-        }
-        if (received->type == kPeers) {
-          apply_peers(decode_peers(*received, bus_.max_frame_bytes()));
-        } else if (received->type == kTimeProbe) {
-          reply_time_probe(*received);
-        } else if (received->type == kShutdown) {
-          outcome.shutdown = true;
-          return outcome;
-        }
-      }
+      return outcome;
     }
     allocation = std::move(*oneshot);
     round = 1;
@@ -358,32 +272,32 @@ LiveReplica::EpochOutcome LiveReplica::run_epoch(const LiveStart& start) {
   // ---- epoch completion: own column + full-matrix digest cross-check
   done_frame.rounds = round;
   done_frame.digest = digest_matrix(allocation);
-  done_frame.objective = problem_->total_cost(allocation);
+  done_frame.objective = batch_.problem->total_cost(allocation);
   done_frame.digest_mismatches =
       static_cast<std::uint32_t>(digest_mismatches_ - mismatches_before);
-  std::size_t own_col = active_replicas_.size();
-  for (std::size_t col = 0; col < active_replicas_.size(); ++col)
-    if (active_replicas_[col] == bus_.self()) own_col = col;
+  std::size_t own_col = batch_.active_replicas.size();
+  for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col)
+    if (batch_.active_replicas[col] == bus_.self()) own_col = col;
   if (observer_ != nullptr)
     done_frame.trace =
         observer_->flow_out("epoch_done", "live_ctl", epoch_span.id());
-  if (own_col < active_replicas_.size()) {
+  if (own_col < batch_.active_replicas.size()) {
     if (system_config_.representation !=
         core::SolverRepresentation::kDense) {
       // Compact column: ship only the nonzero rows as (index, value)
       // pairs; the coordinator zero-fills, so assembly is exact.
       done_frame.kind = LiveEpochDone::kSparseColumn;
       done_frame.num_rows =
-          static_cast<std::uint32_t>(active_clients_.size());
-      for (std::size_t row = 0; row < active_clients_.size(); ++row) {
+          static_cast<std::uint32_t>(batch_.active_clients.size());
+      for (std::size_t row = 0; row < batch_.active_clients.size(); ++row) {
         const double value = allocation(row, own_col);
         if (value == 0.0) continue;
         done_frame.indices.push_back(static_cast<std::uint32_t>(row));
         done_frame.column.push_back(value);
       }
     } else {
-      done_frame.column.resize(active_clients_.size());
-      for (std::size_t row = 0; row < active_clients_.size(); ++row)
+      done_frame.column.resize(batch_.active_clients.size());
+      for (std::size_t row = 0; row < batch_.active_clients.size(); ++row)
         done_frame.column[row] = allocation(row, own_col);
     }
   }
@@ -409,7 +323,7 @@ bool LiveReplica::await_round_barrier(const LiveStart& start,
                                       std::uint64_t own_digest,
                                       EpochOutcome& outcome) {
   std::vector<net::NodeId> waiting;
-  for (const std::size_t n : active_replicas_)
+  for (const std::size_t n : batch_.active_replicas)
     if (n != bus_.self()) waiting.push_back(static_cast<net::NodeId>(n));
 
   auto absorb = [&](net::NodeId from, std::uint64_t digest) {

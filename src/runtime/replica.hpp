@@ -18,6 +18,12 @@
 // at which point every survivor aborts the epoch, discards warm-start
 // state and the retry backlog (both would diverge between survivors and
 // a cold rejoiner), and re-solves with the reduced replica set.
+//
+// Epoch assembly (bucketing, retry backlog, reachability, problem build,
+// admission control, EpochContext) is core::EpochBatch, the code the
+// simulator runs, so a live epoch and a simulated one over the same
+// LiveConfig report the same rounds and objective.  What differs by design
+// (no synthetic backlog epoch, the epoch clock) is listed in DESIGN.md.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "core/algorithm.hpp"
+#include "core/epoch_problem.hpp"
 #include "runtime/bus.hpp"
 #include "runtime/live_protocol.hpp"
 #include "runtime/observer.hpp"
@@ -84,7 +91,6 @@ class LiveReplica {
 
   void apply_peers(const LivePeers& peers);
   void rebuild_for_generation(std::uint64_t generation);
-  void bucket_requests();
   EpochOutcome run_epoch(const LiveStart& start);
   /// Wait until every other scheduled replica reported `round`; fills
   /// `outcome` and returns false when the wait was preempted.
@@ -112,20 +118,14 @@ class LiveReplica {
   std::vector<power::PowerModel> models_;
   power::PowerModel shared_model_;
   std::uint64_t generation_ = 0;
-  std::vector<std::uint8_t> scheduled_;  // current alive mask (kPeers/kStart)
 
   std::unique_ptr<core::DistributedAlgorithm> algorithm_;
   std::uint64_t algorithm_generation_ = 0;  // generation it was built for
 
   std::vector<std::vector<core::PendingRequest>> epoch_buckets_;
-  std::vector<core::PendingRequest> retry_backlog_;
-
-  // Epoch-scoped state referenced by the EpochContext.
-  std::optional<optim::Problem> problem_;
-  std::vector<std::size_t> active_replicas_;
-  std::vector<std::uint32_t> active_clients_;
-  std::vector<core::PendingRequest> current_requests_;
-  std::vector<bool> replica_alive_;
+  /// The running epoch (and the retry backlog it carries forward),
+  /// assembled exactly as the simulator assembles it.
+  core::EpochBatch batch_;
 
   /// Round frames that raced ahead of our own barrier wait, keyed by
   /// (generation, epoch, round) -> per-sender digest.  Generation is part

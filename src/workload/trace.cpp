@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -106,6 +107,11 @@ void Trace::save_csv(std::ostream& out) const {
   }
 }
 
+bool well_formed(const Request& request) {
+  return std::isfinite(request.arrival) && request.arrival >= 0.0 &&
+         std::isfinite(request.size_mb) && request.size_mb >= 0.0;
+}
+
 Trace Trace::load_csv(std::istream& in) {
   std::vector<Request> requests;
   std::string line;
@@ -129,6 +135,10 @@ Trace Trace::load_csv(std::istream& in) {
     request.arrival = std::stod(next());
     request.size_mb = std::stod(next());
     request.object_id = std::stoull(next());
+    if (!well_formed(request))
+      throw std::invalid_argument(
+          "Trace::load_csv: arrival and size must be finite and >= 0: " +
+          line);
     requests.push_back(request);
   }
   return Trace{std::move(requests)};

@@ -26,6 +26,10 @@ struct Request {
   std::uint64_t object_id = 0;
 };
 
+/// Finite, non-negative arrival and size: what every request decoder
+/// (CSV traces, live config frames) admits.
+[[nodiscard]] bool well_formed(const Request& request);
+
 /// A sudden traffic spike layered on top of the diurnal pattern (a video
 /// going viral): the arrival rate is multiplied by `multiplier` during
 /// [start, start + duration), and the spike's requests concentrate on a

@@ -188,6 +188,21 @@ TEST(LiveProtocol, DecodeRejectsFramesOverTheCap) {
   EXPECT_THROW((void)decode_config(msg, 64), std::length_error);
 }
 
+TEST(LiveProtocol, ConfigRejectsNonFiniteOrNegativeRequests) {
+  const double bad[] = {-3.5, std::nan(""), HUGE_VAL};
+  for (const double value : bad) {
+    SCOPED_TRACE(value);
+    LiveConfig arrival = make_default_live_config(3, 6, 2, 17);
+    arrival.requests.front().arrival = value;
+    EXPECT_THROW((void)decode_config(encode_config(9, 0, arrival), 16 << 20),
+                 std::out_of_range);
+    LiveConfig size = make_default_live_config(3, 6, 2, 17);
+    size.requests.back().size_mb = value;
+    EXPECT_THROW((void)decode_config(encode_config(9, 0, size), 16 << 20),
+                 std::out_of_range);
+  }
+}
+
 TEST(LiveProtocol, DecodeRejectsTruncatedPayload) {
   auto msg = encode_round(0, 1, LiveRound{.epoch = 1, .generation = 1,
                                           .round = 2, .digest = 3});
@@ -344,6 +359,27 @@ TEST(LiveCluster, LddmMatchesCentralUnderRealThreads) {
 }
 
 // ------------------------------------------------------------------ chaos
+
+TEST(LocalCluster, RejectsTcpOnlyChaosOverInproc) {
+  // Frame faults and connection resets act on a TcpTransport; over inproc
+  // they used to be silently skipped.
+  for (const ChaosKind kind :
+       {ChaosKind::kResetConnection, ChaosKind::kDropFrames,
+        ChaosKind::kDelayFrames, ChaosKind::kDuplicateFrames,
+        ChaosKind::kClearFaults}) {
+    SCOPED_TRACE(to_string(kind));
+    auto options = fast_options(LiveTransport::kInproc);
+    options.chaos.actions = {{.epoch = 1, .kind = kind, .replica = 0}};
+    EXPECT_THROW((LocalCluster{small_config("lddm", 3, 6, 2), options}),
+                 std::invalid_argument);
+  }
+  // Kill and restart work on both transports.
+  auto options = fast_options(LiveTransport::kInproc);
+  options.chaos.actions = {{.epoch = 1, .kind = ChaosKind::kKill, .replica = 0},
+                           {.epoch = 2, .kind = ChaosKind::kRestart,
+                            .replica = 0}};
+  EXPECT_NO_THROW((LocalCluster{small_config("lddm", 3, 6, 2), options}));
+}
 
 TEST(LiveChaos, KillMidScheduleSurvivorsReconverge) {
   LiveConfig config = small_config("lddm", 4, 8, 5);

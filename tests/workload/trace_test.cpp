@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace edr::workload {
 namespace {
@@ -114,6 +115,21 @@ TEST(Trace, CsvRoundTrip) {
 TEST(Trace, LoadRejectsMalformedRows) {
   std::stringstream bad("id,client,arrival,size_mb,object_id\n1,2\n");
   EXPECT_THROW(Trace::load_csv(bad), std::invalid_argument);
+}
+
+TEST(Trace, LoadRejectsNonFiniteOrNegativeArrivalAndSize) {
+  // A negative arrival or size used to be served as a request nobody
+  // counted, and a nan arrival printed "nan" into the JSON report.
+  for (const char* row : {"1,0,-3.5,10,0", "1,0,1.0,-50,0", "1,0,nan,10,0",
+                          "1,0,inf,10,0", "1,0,1.0,nan,0", "1,0,1.0,inf,0"}) {
+    SCOPED_TRACE(row);
+    std::stringstream csv(
+        std::string{"id,client,arrival,size_mb,object_id\n0,0,0.5,10,0\n"} +
+        row + "\n");
+    EXPECT_THROW(Trace::load_csv(csv), std::invalid_argument);
+  }
+  std::stringstream zero("id,client,arrival,size_mb,object_id\n1,0,0,0,0\n");
+  EXPECT_EQ(Trace::load_csv(zero).size(), 1u);
 }
 
 TEST(Trace, FlashCrowdSpikesArrivalRate) {
