@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "optim/instance.hpp"
 #include "optim/kkt.hpp"
 #include "optim/solver.hpp"
@@ -115,6 +121,91 @@ TEST(Cdpsm, DiminishingStepConvergesSlower) {
             problem.total_cost(b.solution()));
   // Both still produce feasible schedules at every point.
   EXPECT_TRUE(optim::check_feasibility(problem, b.solution()).ok(1e-5));
+}
+
+/// 12 replicas, and client c is feasible at the (c mod 12) + 1 replicas of
+/// a ring window starting at its home replica, so the compact rows hold
+/// every length from 1 to 12.  Capacities bind at the cheap replicas.
+optim::Problem ragged_rows_instance() {
+  constexpr std::size_t kClients = 36;
+  constexpr std::size_t kReplicas = 12;
+  Rng rng{1612};
+  std::vector<Megabytes> demands(kClients);
+  double total = 0.0;
+  for (auto& demand : demands) {
+    demand = rng.uniform(5.0, 15.0);
+    total += demand;
+  }
+  std::vector<optim::ReplicaParams> replicas(kReplicas);
+  for (auto& replica : replicas) {
+    replica.price = static_cast<double>(rng.uniform_int(1, 20));
+    replica.bandwidth = 0.15 * total;
+  }
+  Matrix latency(kClients, kReplicas, 2.5);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    const std::size_t home = (c * 5) % kReplicas;
+    for (std::size_t k = 0; k <= c % kReplicas; ++k)
+      latency(c, (home + k) % kReplicas) = rng.uniform(0.1, 1.8);
+  }
+  return optim::Problem(std::move(demands), std::move(replicas),
+                        std::move(latency), 1.8);
+}
+
+std::uint64_t solution_digest(const Matrix& solution) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the bit patterns
+  for (const double v : solution.flat()) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Cdpsm, RaggedSparseRowsArePinned) {
+  // Pinned digest of a kSparse run whose demand rows span 1..12 entries,
+  // so any change to the row projection that moves a bit shows here.
+  const auto problem = ragged_rows_instance();
+  std::vector<std::size_t> row_sizes;
+  for (std::size_t c = 0; c < problem.num_clients(); ++c)
+    row_sizes.push_back(problem.sparsity()->row_nnz(c));
+  EXPECT_EQ(std::ranges::min(row_sizes), 1u);
+  EXPECT_EQ(std::ranges::max(row_sizes), 12u);
+
+  CdpsmOptions options;
+  options.representation = SolverRepresentation::kSparse;
+  CdpsmEngine engine{problem, options};
+  engine.run();
+  EXPECT_TRUE(engine.converged());
+  EXPECT_EQ(engine.rounds_executed(), 1886u);
+  EXPECT_EQ(solution_digest(engine.solution()), 2745428850835817667ull);
+}
+
+TEST(Cdpsm, ReplicaStatsDoNotChangeIterates) {
+  // The flight-recorder path projects after an extra copy; turning it on
+  // must not move a bit of the iterates, serial or pooled.
+  const auto problem = ragged_rows_instance();
+  CdpsmOptions options;
+  options.representation = SolverRepresentation::kSparse;
+  options.max_rounds = 120;
+  CdpsmEngine reference{problem, options};
+  reference.run();
+  const std::uint64_t expected = solution_digest(reference.solution());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const bool collect : {false, true}) {
+      common::ThreadPool pool{threads};
+      CdpsmEngine engine{problem, options};
+      engine.set_thread_pool(&pool);
+      engine.set_collect_replica_stats(collect);
+      engine.run();
+      EXPECT_EQ(engine.rounds_executed(), reference.rounds_executed())
+          << threads << " threads, stats " << collect;
+      EXPECT_EQ(solution_digest(engine.solution()), expected)
+          << threads << " threads, stats " << collect;
+      EXPECT_EQ(engine.replica_stats().size(), collect ? 12u : 0u);
+    }
+  }
 }
 
 class CdpsmConvergence : public ::testing::TestWithParam<std::uint64_t> {};

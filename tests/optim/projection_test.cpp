@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -344,6 +347,99 @@ TEST(ActiveSimplexProjection, MatchesMaskedProjectionBitwise) {
         // Bitwise: the gathered active vectors and thresholds coincide.
         EXPECT_EQ(dense[i], compact[k++]) << "trial " << trial << " i " << i;
       }
+    }
+  }
+}
+
+// Reference for the threshold-and-apply projections: the sort-based
+// Held/Wolfe/Crowder threshold, with the scalar apply loops.  The library's
+// threshold may sort differently (short rows go through a comparator
+// network), but it must return the same τ bit for bit.
+double reference_threshold(std::vector<double> active, double target) {
+  std::ranges::sort(active, std::greater<>());
+  double running = 0.0;
+  double tau = 0.0;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    running += active[i];
+    const double candidate = (running - target) / static_cast<double>(i + 1);
+    if (candidate >= active[i]) {
+      if (i == 0) tau = candidate;
+      break;
+    }
+    tau = candidate;
+  }
+  return tau;
+}
+
+void reference_project_active(std::vector<double>& values, double target) {
+  const double tau = reference_threshold(values, target);
+  for (double& v : values) v = std::max(v - tau, 0.0);
+}
+
+void reference_project_masked(std::vector<double>& values,
+                              const std::vector<double>& mask, double target) {
+  std::vector<double> active;
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (mask[i] != 0.0) active.push_back(values[i]);
+  if (active.empty()) {
+    for (double& v : values) v = 0.0;
+    return;
+  }
+  const double tau = reference_threshold(active, target);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = mask[i] != 0.0 ? std::max(values[i] - tau, 0.0) : 0.0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SimplexProjection, ThresholdMatchesSortReferenceBitwise) {
+  // Rows of 1..12 entries cover both the short-row and the long-row path.
+  // Values mix signed zeros, repeats, negatives and positives — the cases
+  // where two correct sorts can order equal keys differently — and the
+  // targets include 0.
+  Rng rng{16};
+  const double repeats[] = {0.0, -0.0, 1.5, -2.25, 7.0};
+  const auto draw = [&] {
+    const auto kind = rng.uniform_int(0, 5);
+    if (kind == 0) return 0.0;
+    if (kind == 1) return -0.0;
+    if (kind == 2) return repeats[rng.uniform_int(0, 4)];
+    if (kind == 3) return rng.uniform(-30.0, 0.0);
+    return rng.uniform(0.0, 30.0);
+  };
+  for (const auto simd :
+       {common::simd::Mode::kScalar, common::simd::Mode::kAuto}) {
+    for (int trial = 0; trial < 4000; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+      std::vector<double> values(n), mask(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        values[i] = draw();
+        mask[i] = rng.uniform(0.0, 1.0) < 0.7 ? 1.0 : 0.0;
+      }
+      const bool any_active =
+          std::ranges::any_of(mask, [](double m) { return m != 0.0; });
+      const auto target_kind = rng.uniform_int(0, 3);
+      const double target = target_kind == 0   ? 0.0
+                            : target_kind == 1 ? repeats[2]
+                                               : rng.uniform(0.0, 40.0);
+
+      std::vector<double> active = values;
+      std::vector<double> expected = values;
+      project_simplex_active(active, target, simd);
+      reference_project_active(expected, target);
+      EXPECT_TRUE(same_bits(active, expected))
+          << "active form, trial " << trial << ", " << n << " entries";
+
+      const double masked_target = any_active ? target : 0.0;
+      std::vector<double> masked = values;
+      expected = values;
+      project_masked_simplex(masked, mask, masked_target, simd);
+      reference_project_masked(expected, mask, masked_target);
+      EXPECT_TRUE(same_bits(masked, expected))
+          << "masked form, trial " << trial << ", " << n << " entries";
     }
   }
 }
