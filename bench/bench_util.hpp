@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -223,6 +224,15 @@ class Harness {
     json.begin_object()
         .field("bench", bench_name_)
         .field("wall_seconds", wall);
+    // The host the wall-clock rows were measured on, so runs on different
+    // machines stay comparable.
+    json.key("host").begin_object()
+        .field("nproc", static_cast<std::uint64_t>(
+                            std::thread::hardware_concurrency()))
+        .field("simd_isa", common::simd::active_isa())
+        .field("compiler", EDR_BENCH_COMPILER)
+        .field("build_type", EDR_BENCH_BUILD_TYPE)
+        .end_object();
     json.key("metrics").begin_array();
     for (const auto& metric : json_metrics()) {
       json.begin_object()

@@ -45,7 +45,10 @@ echo "== thread sanitizer build (build-tsan/, -fsanitize=thread) =="
 # every backend at solver_threads ∈ {1, 2, hardware}. The rest of the suite
 # is single-threaded and already covered by the asan/ubsan tree above.
 # Simd covers the runtime-dispatched kernels (scalar + widest-ISA bodies);
-# Admm covers the ADMM engine including its parallel x-update sweep.
+# Admm covers the ADMM engine including its parallel x-update sweep;
+# Cdpsm covers the CDPSM engine, whose pool lanes all read the round's
+# shared consensus buffer; SimplexProjection covers the row threshold the
+# lanes' projections run.
 # Scenario covers the dynamic-world suite end to end (timed events through
 # the full pipeline, including the solver-thread pool).
 cmake -B build-tsan -S . -DEDR_SANITIZE=tsan >/dev/null
@@ -53,7 +56,7 @@ cmake --build build-tsan -j "$jobs" \
   --target test_integration test_telemetry test_net test_common test_optim \
            test_core test_runtime
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'LddmMatchesCentralUnderRealThreads|EpochsMatchTheSimulator|AtomicModeCountsAcrossThreads|TelemetrySink|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Scenario'
+  -R 'LddmMatchesCentralUnderRealThreads|EpochsMatchTheSimulator|AtomicModeCountsAcrossThreads|TelemetrySink|Mailbox|InprocTransport|ThreadPool|ParallelProjection|SparseProjection|SparseEquivalence|GoldenEquivalence|Simd|Admm|Cdpsm|SimplexProjection|Scenario'
 
 echo
 echo "== telemetry overhead smoke (fig5_convergence, telemetry disabled) =="

@@ -1,4 +1,5 @@
-// Exporters: metrics as JSONL/CSV, traces as Chrome chrome://tracing JSON.
+// Exporters: metrics as JSONL and Prometheus text, traces as Chrome
+// chrome://tracing JSON.
 //
 // JSONL — one JSON object per line per metric, easy to grep/jq and to diff
 // in CI.  Chrome JSON — the Trace Event Format's "X"/"i" phases, loadable
@@ -14,10 +15,6 @@ namespace edr::telemetry {
 
 /// One line per metric: {"metric":...,"type":"counter","value":N}.
 [[nodiscard]] std::string metrics_to_jsonl(const MetricsRegistry& registry);
-
-/// Flat CSV: metric,type,value,count,sum (histograms report count/sum and
-/// one row per bucket).
-[[nodiscard]] std::string metrics_to_csv(const MetricsRegistry& registry);
 
 /// Prometheus text exposition (0.0.4): sanitized names, counters with a
 /// `_total` suffix, histograms as cumulative `_bucket{le=}` + `_sum` +

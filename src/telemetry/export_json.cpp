@@ -2,7 +2,6 @@
 #include <fstream>
 #include <string>
 
-#include "common/fmt.hpp"
 #include "common/json.hpp"
 #include "telemetry/export.hpp"
 
@@ -50,31 +49,6 @@ std::string metrics_to_jsonl(const MetricsRegistry& registry) {
     json.end_array().end_object();
     out += json.str();
     out += '\n';
-  }
-  return out;
-}
-
-std::string metrics_to_csv(const MetricsRegistry& registry) {
-  std::string out = "metric,type,value,count,sum\n";
-  for (const auto& view : registry.counters())
-    out += strf("%s,counter,%llu,,\n", std::string{view.name}.c_str(),
-                static_cast<unsigned long long>(view.value));
-  for (const auto& view : registry.gauges())
-    out += strf("%s,gauge,%.17g,,\n", std::string{view.name}.c_str(),
-                view.value);
-  for (const auto& view : registry.histograms()) {
-    out += strf("%s,histogram,,%llu,%.17g\n", std::string{view.name}.c_str(),
-                static_cast<unsigned long long>(view.slot->count),
-                view.slot->sum);
-    for (std::size_t i = 0; i < view.slot->counts.size(); ++i) {
-      const std::string edge =
-          i < view.slot->bounds.size()
-              ? strf("%.17g", view.slot->bounds[i])
-              : std::string{"+inf"};
-      out += strf("%s.le.%s,bucket,%llu,,\n", std::string{view.name}.c_str(),
-                  edge.c_str(),
-                  static_cast<unsigned long long>(view.slot->counts[i]));
-    }
   }
   return out;
 }

@@ -161,17 +161,6 @@ TEST(MetricsExport, JsonlOneObjectPerMetric) {
   EXPECT_NE(jsonl.find("\"le\":\"+inf\""), std::string::npos);
 }
 
-TEST(MetricsExport, CsvCarriesAllRows) {
-  MetricsRegistry registry;
-  registry.counter("hits").add(7);
-  registry.histogram("lat", {1.0}).observe(2.0);
-  const auto csv = metrics_to_csv(registry);
-  EXPECT_NE(csv.find("metric,type,value,count,sum\n"), std::string::npos);
-  EXPECT_NE(csv.find("hits,counter,7,,\n"), std::string::npos);
-  EXPECT_NE(csv.find("lat,histogram,,1,2\n"), std::string::npos);
-  EXPECT_NE(csv.find("lat.le.+inf,bucket,1,,\n"), std::string::npos);
-}
-
 TEST(MetricsExport, PrometheusExposition) {
   MetricsRegistry registry;
   registry.counter("system.epochs").add(3);
