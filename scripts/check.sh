@@ -76,7 +76,7 @@ fi
 echo "telemetry overhead smoke: disabled-telemetry output bit-identical"
 
 echo
-echo "== bench baseline smoke (abl_scaling + fig5 --json-out, schema and values vs committed) =="
+echo "== bench baseline smoke (abl_scaling + fig5 + fig9 --json-out, schema and values vs committed) =="
 # Regenerate the scaling-bench metrics and compare their *schema* (metric
 # names, units, algorithm keys) against the committed BENCH_abl_scaling.json
 # baseline. A diff means a bench metric was renamed/dropped without
@@ -134,6 +134,20 @@ fi
 bench_values BENCH_fig5_convergence.json \
   "$smoke_dir/BENCH_fig5_convergence.json" \
   || { echo "bench baseline smoke FAILED: fig5 values drifted" >&2; exit 1; }
+# Fig 9 response time: EDR's and DONAR's mean decision latency (simulated
+# ms) and their ratio at every request count, gated by value.
+build/bench/fig9_response_time \
+  "--json-out=$smoke_dir/BENCH_fig9_response_time.json" >/dev/null 2>&1
+bench_schema "$smoke_dir/BENCH_fig9_response_time.json" > "$smoke_dir/fig9.new"
+bench_schema BENCH_fig9_response_time.json > "$smoke_dir/fig9.committed"
+if ! diff -u "$smoke_dir/fig9.committed" "$smoke_dir/fig9.new"; then
+  echo "bench baseline smoke FAILED: metric schema drifted from" \
+       "BENCH_fig9_response_time.json — regenerate the committed baseline" >&2
+  exit 1
+fi
+bench_values BENCH_fig9_response_time.json \
+  "$smoke_dir/BENCH_fig9_response_time.json" \
+  || { echo "bench baseline smoke FAILED: fig9 values drifted" >&2; exit 1; }
 # Same schema check for the SIMD kernel microbenchmark, plus its built-in
 # cross-mode agreement verdict: a vectorized kernel that computes something
 # different from the scalar golden path must fail the pre-merge check even

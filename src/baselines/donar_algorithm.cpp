@@ -1,5 +1,7 @@
 #include "baselines/donar_algorithm.hpp"
 
+#include <stdexcept>
+
 #include "core/algorithm_registry.hpp"
 #include "core/system.hpp"
 #include "net/wire.hpp"
@@ -13,6 +15,12 @@ constexpr core::MessageTypeInfo kDonarTypes[] = {
     {kDonarAssignment, "donar_assignment", /*round=*/false},
 };
 }  // namespace
+
+DonarAlgorithm::DonarAlgorithm(DonarOptions options) : options_(options) {
+  if (options_.num_mapping_nodes == 0)
+    throw std::invalid_argument(
+        "DonarAlgorithm: need at least one mapping node");
+}
 
 std::span<const core::MessageTypeInfo> DonarAlgorithm::message_types() const {
   return kDonarTypes;

@@ -1,12 +1,13 @@
 // DONAR as a DistributedAlgorithm backend.
 //
 // The related-work baseline (distributed mapping nodes running a
-// consensus-ish balance iteration) hosted on the same EpochPipeline as the
-// EDR schedulers: solvers are the mapping nodes (not the replicas), each
-// client announces only to its owning node, and one assignment per client
-// flows back from that owner.  DonarSystem composes this backend with the
-// DONAR PipelinePolicy (no per-client links, no power model, no
-// transfers).
+// consensus-ish balance iteration) hosted by EdrSystem like the EDR
+// schedulers.  It declares its mapping nodes through mapping_nodes(), so
+// the pipeline runs the paper's Fig 9 deployment: the mapping nodes (not
+// the replicas) solve, every path rides the default interconnect link, and
+// only decision latency is modelled (no power, no transfers, no ring).
+// Each client announces only to its owning node, and one assignment per
+// client flows back from that owner.
 #pragma once
 
 #include <memory>
@@ -27,10 +28,15 @@ enum DonarMessageType : int {
 
 class DonarAlgorithm final : public core::DistributedAlgorithm {
  public:
-  explicit DonarAlgorithm(DonarOptions options) : options_(options) {}
+  /// Throws std::invalid_argument when options.num_mapping_nodes is 0
+  /// (zero would declare a deployment where the replicas solve).
+  explicit DonarAlgorithm(DonarOptions options);
 
   [[nodiscard]] const char* name() const override { return "donar"; }
   [[nodiscard]] const char* display_name() const override { return "DONAR"; }
+  [[nodiscard]] std::size_t mapping_nodes() const override {
+    return options_.num_mapping_nodes;
+  }
   [[nodiscard]] std::span<const core::MessageTypeInfo> message_types()
       const override;
 
@@ -63,8 +69,8 @@ class DonarAlgorithm final : public core::DistributedAlgorithm {
 };
 
 /// Add "donar" (default DonarOptions) to the process-wide algorithm
-/// registry.  Idempotent; DonarSystem calls it on construction, and tests
-/// or tools that want `SystemConfig::algorithm = "donar"` call it directly.
+/// registry.  Idempotent; tests and tools that want
+/// `SystemConfig::algorithm = "donar"` call it before building EdrSystem.
 void register_donar_algorithm();
 
 }  // namespace edr::baselines

@@ -58,9 +58,9 @@ struct PendingRequest {
   std::uint32_t retries = 0;
 };
 
-/// Endpoint kind of a planned message.  Solver indices are global (for the
-/// EDR runtime a solver *is* a replica; DONAR's solvers are its mapping
-/// nodes); client ids are global client ids.
+/// Endpoint kind of a planned message.  Solver indices are global (a solver
+/// is a replica unless the backend declares mapping nodes, as DONAR does);
+/// client ids are global client ids.
 enum class Endpoint { kSolver, kClient };
 
 /// One coordination message the algorithm wants on the wire.  The pipeline
@@ -101,6 +101,12 @@ class DistributedAlgorithm {
   [[nodiscard]] virtual const char* name() const = 0;
   /// Human-facing label used by reports and figure tables ("EDR-LDDM").
   [[nodiscard]] virtual const char* display_name() const = 0;
+
+  /// The deployment this backend runs in.  0 (the default): the replicas
+  /// are the solvers, and the host models per-client links, power, file
+  /// transfers and the heartbeat ring.  k > 0: k dedicated mapping nodes
+  /// solve (DONAR), and the host models decision latency only.
+  [[nodiscard]] virtual std::size_t mapping_nodes() const { return 0; }
 
   /// Message-type ids this backend owns (round traffic plus any protocol
   /// types it overrides).  Ids must not collide with the host protocol,

@@ -1,10 +1,13 @@
 // String-keyed factory for DistributedAlgorithm backends.
 //
-// The four built-in backends ("lddm", "cdpsm", "central", "rr") are always
-// present; other libraries add their own (baselines registers "donar" via
-// baselines::register_donar_algorithm()).  Benches, examples and the CLI
-// select schedulers by key — SystemConfig::algorithm is a registry key —
-// so a new backend needs no enum plumbing anywhere.
+// The five built-in backends ("lddm", "cdpsm", "admm", "central", "rr") are
+// always present; other libraries add their own (baselines registers
+// "donar" via baselines::register_donar_algorithm()).  Benches, examples
+// and the CLI select schedulers by key — SystemConfig::algorithm is a
+// registry key — so a new backend needs no enum plumbing anywhere, and
+// EdrSystem hosts every key, "donar" included: a backend that solves on
+// dedicated mapping nodes says so through
+// DistributedAlgorithm::mapping_nodes().
 #pragma once
 
 #include <functional>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 #include "common/math_util.hpp"
@@ -17,19 +18,19 @@ EpochContext EpochPipeline::context() const {
   return batch_.context(num_clients_, num_solvers_, cfg_.telemetry.get());
 }
 
-EpochPipeline::EpochPipeline(SystemConfig config, PipelinePolicy policy,
+EpochPipeline::EpochPipeline(SystemConfig config,
                              std::unique_ptr<DistributedAlgorithm> algorithm,
                              workload::Trace trace)
     : cfg_(std::move(config)),
-      policy_(policy),
       algorithm_(std::move(algorithm)),
       trace_(std::move(trace)),
       rng_(cfg_.seed),
       power_model_(cfg_.power) {
   num_replicas_ = cfg_.replicas.size();
   num_clients_ = cfg_.num_clients;
-  num_solvers_ =
-      policy_.num_solvers == 0 ? num_replicas_ : policy_.num_solvers;
+  const std::size_t mapping_nodes = algorithm_->mapping_nodes();
+  decision_only_ = mapping_nodes != 0;
+  num_solvers_ = decision_only_ ? mapping_nodes : num_replicas_;
   if (num_replicas_ == 0)
     throw std::invalid_argument("EdrSystem: no replicas configured");
   if (num_clients_ == 0)
@@ -97,7 +98,7 @@ void EpochPipeline::setup_links() {
   // Client <-> replica links carry the configured latency; the solver
   // interconnect (used by round traffic and ring heartbeats) uses the
   // minimum link latency (same-fabric assumption).
-  if (policy_.per_client_links) {
+  if (!decision_only_) {
     for (std::size_t c = 0; c < num_clients_; ++c) {
       for (std::size_t n = 0; n < num_replicas_; ++n) {
         net::LinkParams params;
@@ -128,7 +129,7 @@ void EpochPipeline::attach_nodes() {
 }
 
 void EpochPipeline::start_ring() {
-  if (!cfg_.enable_ring) return;
+  if (!cfg_.enable_ring || decision_only_) return;
   std::vector<net::NodeId> members;
   for (std::size_t n = 0; n < num_replicas_; ++n)
     members.push_back(solver_node(n));
@@ -158,7 +159,7 @@ void EpochPipeline::bucket_requests() {
       announce_scratch_.clear();
       algorithm_->announce_targets(c, num_solvers_, announce_scratch_);
       for (const std::size_t s : announce_scratch_) {
-        if (policy_.solvers_are_replicas && !batch_.alive[s]) continue;
+        if (!decision_only_ && !batch_.alive[s]) continue;
         send_control(client_node(c), solver_node(s),
                      algorithm_->announce_type(), 28);
       }
@@ -193,7 +194,7 @@ void EpochPipeline::send_control(net::NodeId from, net::NodeId to, int type,
 
 void EpochPipeline::on_solver_message(std::size_t s,
                                       const net::Message& msg) {
-  if (policy_.solvers_are_replicas && !batch_.alive[s]) return;
+  if (!decision_only_ && !batch_.alive[s]) return;
   if (msg.type >= 100 && msg.type < 200) {
     if (s < rings_.size()) rings_[s]->handle(msg);
     return;
@@ -215,7 +216,22 @@ void EpochPipeline::on_client_message(std::size_t c,
 
 // ---------- membership / failures ----------
 
+namespace {
+
+// Under mapping nodes, node id n is a mapping node or a client rather than
+// replica n, and no replica state is modelled that a fault could change.
+void reject_replica_fault(bool decision_only, const char* call) {
+  if (decision_only)
+    throw std::invalid_argument(
+        std::string("EdrSystem::") + call +
+        ": the backend solves on mapping nodes, so replicas are not network "
+        "nodes and cannot fail or recover");
+}
+
+}  // namespace
+
 void EpochPipeline::inject_failure(std::size_t n, SimTime when) {
+  reject_replica_fault(decision_only_, "inject_failure");
   sim_.schedule_at(when, [this, n] {
     if (!batch_.alive[n]) return;
     logf(LogLevel::kInfo, "edr: replica %zu crashes at t=%.3f", n,
@@ -238,6 +254,7 @@ void EpochPipeline::inject_failure(std::size_t n, SimTime when) {
 }
 
 void EpochPipeline::inject_recovery(std::size_t n, SimTime when) {
+  reject_replica_fault(decision_only_, "inject_recovery");
   sim_.schedule_at(when, [this, n] {
     if (batch_.alive[n]) return;
     logf(LogLevel::kInfo, "edr: replica %zu recovers at t=%.3f", n,
@@ -283,7 +300,7 @@ void EpochPipeline::inject_link_change(const LinkDegradation& change,
         // The scheduler's feasibility view and the delivery path must
         // agree, so mutate both the config matrix and the live links.
         cfg_.latency(c, n) *= change.latency_factor;
-        if (!policy_.per_client_links) continue;
+        if (decision_only_) continue;
         auto params = network_.link(client_node(c), solver_node(n));
         params.latency *= change.latency_factor;
         params.bandwidth_mbps *= change.bandwidth_factor;
@@ -327,8 +344,7 @@ void EpochPipeline::on_member_dead(net::NodeId dead) {
 
 void EpochPipeline::set_activity(std::size_t n, power::Activity activity,
                                  double intensity) {
-  if (!policy_.model_power) return;
-  if (!batch_.alive[n]) return;
+  if (decision_only_ || !batch_.alive[n]) return;
   timelines_[n].set(sim_.now(), activity, intensity);
 }
 
@@ -372,7 +388,8 @@ void EpochPipeline::start_solve(std::size_t epoch) {
   // core/epoch_problem.hpp.
   const EpochProblemSpec spec{
       .cfg = &cfg_,
-      .window = cfg_.epoch_length * policy_.transfer_window_fraction,
+      .window = decision_only_ ? cfg_.epoch_length
+                               : cfg_.epoch_length * kTransferWindowFraction,
       .now = sim_.now(),
       .active_clients = {},  // filled in by assemble()
       .active_replicas = {},
@@ -380,7 +397,7 @@ void EpochPipeline::start_solve(std::size_t epoch) {
       .shared_model = &power_model_};
   const std::size_t dropped =
       batch_.assemble(spec, epoch_buckets_[epoch],
-                      policy_.drop_unreachable_clients,
+                      /*drop_unreachable_clients=*/!decision_only_,
                       report_.megabytes_abandoned);
   requests_dropped_ += dropped;
   requests_dropped_metric_.add(dropped);
@@ -409,7 +426,11 @@ void EpochPipeline::start_solve(std::size_t epoch) {
   algorithm_->begin_epoch(context());
   if (algorithm_->iterative()) {
     set_all_selecting(true);
-    if (policy_.split_service_delay) {
+    // Under mapping nodes the service delay is its own event before the
+    // first round's compute delay, (t + s) + c rather than t + (s + c):
+    // the same model, but DONAR's reference event loop used the split
+    // form, and the event times differ from the folded one in the last ulp.
+    if (decision_only_) {
       sim_.schedule_after(service_delay, [this, generation] {
         if (generation != solve_generation_) return;
         schedule_round(generation);
@@ -565,32 +586,30 @@ void EpochPipeline::finish_solve(Matrix allocation) {
   const double shortfall = batch_.problem->total_demand() - placed;
   if (shortfall > 1e-9) report_.megabytes_abandoned += shortfall;
 
-  // Transfers: replica col pushes its column total, paced over the
-  // transfer window at intensity s_n / capacity.
-  if (policy_.file_transfers) {
-    const double window =
-        cfg_.epoch_length * policy_.transfer_window_fraction;
-    for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col) {
-      const std::size_t n = batch_.active_replicas[col];
-      const double load_mb = allocation.col_sum(col);
-      if (load_mb <= 1e-9 || !batch_.alive[n]) continue;
-      const double capacity_mb = cfg_.replicas[n].bandwidth * window;
-      const double intensity = clamp(load_mb / capacity_mb, 0.0, 1.0);
-      const double duration =
-          load_mb <= capacity_mb ? window
-                                 : load_mb / cfg_.replicas[n].bandwidth;
-      set_activity(n, power::Activity::kTransfer, intensity);
-      tracer().span("file_transfer", "transfer", sim_.now(), duration,
-                    solver_node(n));
-      transfer_until_[n] = sim_.now() + duration;
-      report_.replicas[n].assigned_mb += load_mb;
-      report_.megabytes_served += load_mb;
-      sim_.schedule_after(duration, [this, n] {
-        if (!batch_.alive[n]) return;
-        if (sim_.now() + 1e-12 >= transfer_until_[n])
-          set_activity(n, power::Activity::kIdle, 0.0);
-      });
-    }
+  // Each alive replica serves its column total.  Where the replicas solve,
+  // it is pushed as a file transfer paced over the transfer window at
+  // intensity s_n / capacity.
+  const double window = cfg_.epoch_length * kTransferWindowFraction;
+  for (std::size_t col = 0; col < batch_.active_replicas.size(); ++col) {
+    const std::size_t n = batch_.active_replicas[col];
+    const double load_mb = allocation.col_sum(col);
+    if (load_mb <= 1e-9 || !batch_.alive[n]) continue;
+    report_.replicas[n].assigned_mb += load_mb;
+    report_.megabytes_served += load_mb;
+    if (decision_only_) continue;
+    const double capacity_mb = cfg_.replicas[n].bandwidth * window;
+    const double intensity = clamp(load_mb / capacity_mb, 0.0, 1.0);
+    const double duration =
+        load_mb <= capacity_mb ? window : load_mb / cfg_.replicas[n].bandwidth;
+    set_activity(n, power::Activity::kTransfer, intensity);
+    tracer().span("file_transfer", "transfer", sim_.now(), duration,
+                  solver_node(n));
+    transfer_until_[n] = sim_.now() + duration;
+    sim_.schedule_after(duration, [this, n] {
+      if (!batch_.alive[n]) return;
+      if (sim_.now() + 1e-12 >= transfer_until_[n])
+        set_activity(n, power::Activity::kIdle, 0.0);
+    });
   }
   for (const auto& request : batch_.requests) {
     if (request.retries == 0) {
@@ -650,7 +669,7 @@ void EpochPipeline::on_assignment_delivered(const net::Message& msg) {
 RunReport EpochPipeline::finalize() {
   report_.makespan = sim_.now();
   report_.replicas.resize(num_replicas_);
-  if (policy_.model_power) {
+  if (!decision_only_) {
     for (std::size_t n = 0; n < num_replicas_; ++n) {
       auto& rep = report_.replicas[n];
       rep.alive = batch_.alive[n];
@@ -724,9 +743,9 @@ RunReport EpochPipeline::run() {
   bucket_requests();
   schedule_epoch_boundaries();
 
-  if (policy_.run_to_drain) {
-    // No periodic ring traffic: the event loop drains on its own and the
-    // makespan is the last delivery.
+  if (decision_only_) {
+    // No ring, so no periodic traffic: the event loop drains on its own and
+    // the makespan is the last delivery.
     sim_.run();
   } else {
     // The ring heartbeats forever; run until only periodic ring events are

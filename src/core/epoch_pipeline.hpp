@@ -5,14 +5,15 @@
 // batches are assembled by core::EpochBatch, as on the live runtime), the
 // solve loop (message rounds against a delivery barrier for iterative
 // backends, a single compute delay for one-shot ones), assignment fan-out,
-// paced file transfers, and power/energy accounting.  Everything solver-specific is delegated to the attached
-// DistributedAlgorithm strategy; this file contains no per-algorithm
-// branches.
+// paced file transfers, and power/energy accounting.  Everything
+// solver-specific is delegated to the attached DistributedAlgorithm
+// strategy; this file contains no per-algorithm branches.
 //
-// EdrSystem is this pipeline under the EDR policy (solvers are the
-// replicas, per-client links, power metering, 70% transfer window);
-// DonarSystem re-hosts the same pipeline under the DONAR policy (mapping
-// nodes as solvers, default links only, decision latency only).
+// EdrSystem is the only host.  The backend picks the deployment through
+// DistributedAlgorithm::mapping_nodes(): by default the replicas are the
+// solvers (per-client links, power metering, heartbeat ring, 70% transfer
+// window); DONAR declares mapping nodes, which solve on the default links
+// with only decision latency modelled (paper Fig 9).
 #pragma once
 
 #include <any>
@@ -28,48 +29,23 @@
 
 namespace edr::core {
 
-/// Host-level knobs: what the *system* around the algorithm models.  These
-/// are properties of the hosting runtime (EDR vs DONAR), not of the
-/// scheduler strategy, which is why they are not SystemConfig fields.
-struct PipelinePolicy {
-  /// Number of solver nodes (0 = one per replica).  Solvers occupy node
-  /// ids [0, S); clients [S, S + C).
-  std::size_t num_solvers = 0;
-  /// Solver s *is* replica s: liveness gates its message handling and the
-  /// announcement fan-out, and the ring runs over the solver nodes.
-  bool solvers_are_replicas = true;
-  /// Dedicated client<->replica links carrying the latency matrix (off =
-  /// every path uses the default interconnect link).
-  bool per_client_links = true;
-  /// Drop clients with no latency-feasible alive replica at epoch start.
-  bool drop_unreachable_clients = true;
-  /// Activity timelines + power meters + energy/cost integration.
-  bool model_power = true;
-  /// Paced file transfers after commit (off = decision latency only).
-  bool file_transfers = true;
-  /// Fraction of each epoch reserved for transfers (the rest is the solve /
-  /// listen "valley" visible between the power peaks of Figs 3-4).
-  double transfer_window_fraction = 0.7;
-  /// Run the event loop dry instead of to the bounded horizon (only safe
-  /// without the ring's periodic heartbeats).
-  bool run_to_drain = false;
-  /// Schedule the per-epoch request-service delay as its own event before
-  /// the first round's compute delay instead of folding both into one
-  /// (t + s) + c vs t + (s + c): same model, but the floating-point event
-  /// times differ in the last ulp.  DONAR's reference implementation used
-  /// the split form; keeping it preserves bit-exact replay.
-  bool split_service_delay = false;
-};
+/// Share of each epoch the replicas reserve for paced file transfers; the
+/// rest is the solve / listen "valley" visible between the power peaks of
+/// Figs 3-4.  A mapping-node deployment models no transfers and plans
+/// against the full epoch.
+inline constexpr double kTransferWindowFraction = 0.7;
 
 class EpochPipeline {
  public:
-  EpochPipeline(SystemConfig config, PipelinePolicy policy,
+  EpochPipeline(SystemConfig config,
                 std::unique_ptr<DistributedAlgorithm> algorithm,
                 workload::Trace trace);
   ~EpochPipeline();
   EpochPipeline(const EpochPipeline&) = delete;
   EpochPipeline& operator=(const EpochPipeline&) = delete;
 
+  /// Replica faults; both throw std::invalid_argument when the backend
+  /// declares mapping nodes (no replica is a network node there).
   void inject_failure(std::size_t replica, SimTime when);
   void inject_recovery(std::size_t replica, SimTime when);
   void inject_link_change(const LinkDegradation& change, SimTime when);
@@ -83,7 +59,6 @@ class EpochPipeline {
  private:
   // --- configuration and substrate ---
   SystemConfig cfg_;
-  PipelinePolicy policy_;
   std::unique_ptr<DistributedAlgorithm> algorithm_;
   workload::Trace trace_;
   Rng rng_;
@@ -93,6 +68,12 @@ class EpochPipeline {
   std::size_t num_replicas_ = 0;
   std::size_t num_clients_ = 0;
   std::size_t num_solvers_ = 0;
+  // The backend declared mapping nodes (DONAR): they are the solvers, every
+  // path rides the default interconnect link, and only decision latency is
+  // modelled, so there is no ring, no power metering, no file transfer and
+  // no drop of unreachable clients; the whole epoch is usable capacity and
+  // the event loop runs dry.  Off, the replicas are the solvers.
+  bool decision_only_ = false;
 
   // node id layout: solvers [0, S), clients [S, S+C)
   [[nodiscard]] net::NodeId solver_node(std::size_t s) const {

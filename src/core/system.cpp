@@ -34,9 +34,8 @@ Matrix make_latency_matrix(Rng& rng, std::size_t num_clients,
 
 EdrSystem::EdrSystem(SystemConfig config, workload::Trace trace) {
   auto algorithm = make_algorithm(config);
-  impl_ = std::make_unique<EpochPipeline>(std::move(config), PipelinePolicy{},
-                                          std::move(algorithm),
-                                          std::move(trace));
+  impl_ = std::make_unique<EpochPipeline>(
+      std::move(config), std::move(algorithm), std::move(trace));
   // The pipeline may fill in generated pieces (e.g. the latency matrix);
   // expose its view so config() reflects what actually runs.
   config_ = impl_->config();

@@ -46,7 +46,8 @@ namespace edr::core {
 struct SystemConfig {
   /// Registry key of the scheduler backend ("lddm", "cdpsm", "central",
   /// "rr", plus anything registered via core/algorithm_registry.hpp — the
-  /// baselines library adds "donar").
+  /// baselines library adds "donar", which runs the paper's Fig 9
+  /// deployment: 3 mapping nodes, decision latency only).
   std::string algorithm = "lddm";
   /// Energy/capacity parameters per replica (defines |N|).
   std::vector<optim::ReplicaParams> replicas;
@@ -134,6 +135,8 @@ struct SystemConfig {
   power::PowerModelParams power;
   cluster::RingConfig ring;
   /// Enable the heartbeat ring (off saves events in pure-cost benches).
+  /// Ignored when the backend solves on mapping nodes (donar): that host
+  /// runs no ring.
   bool enable_ring = true;
   /// Meter sampling rate (paper: ~50 samples/s).
   double meter_hz = 50.0;
@@ -222,9 +225,10 @@ struct LinkDegradation {
 class EpochPipeline;
 
 /// Drives one complete run of the system over a workload trace: the
-/// algorithm-agnostic EpochPipeline (core/epoch_pipeline.hpp) under the
-/// EDR host policy, with the backend picked from the algorithm registry by
-/// SystemConfig::algorithm.
+/// algorithm-agnostic EpochPipeline (core/epoch_pipeline.hpp), with the
+/// backend picked from the algorithm registry by SystemConfig::algorithm.
+/// The backend also picks the deployment: the replicas solve, or (DONAR)
+/// dedicated mapping nodes do and only decision latency is modelled.
 class EdrSystem {
  public:
   EdrSystem(SystemConfig config, workload::Trace trace);
@@ -232,12 +236,14 @@ class EdrSystem {
   EdrSystem(const EdrSystem&) = delete;
   EdrSystem& operator=(const EdrSystem&) = delete;
 
-  /// Schedule replica `n` to crash at `when` (before run()).
+  /// Schedule replica `n` to crash at `when` (before run()).  Throws
+  /// std::invalid_argument when the backend solves on mapping nodes.
   void inject_failure(std::size_t replica, SimTime when);
 
   /// Schedule a crashed replica to recover at `when`: it rejoins the ring
   /// (announcing itself to the survivors) and is eligible for scheduling
-  /// from the next epoch on.
+  /// from the next epoch on.  Throws std::invalid_argument when the backend
+  /// solves on mapping nodes.
   void inject_recovery(std::size_t replica, SimTime when);
 
   /// Schedule a link-quality change at `when`: latency inflation and/or

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
+#include "baselines/donar_algorithm.hpp"
 #include "common/rng.hpp"
+#include "core/epoch_pipeline.hpp"
 #include "core/lddm.hpp"
+#include "core/system.hpp"
 #include "optim/instance.hpp"
+#include "workload/apps.hpp"
 
 namespace edr::baselines {
 namespace {
@@ -128,6 +136,118 @@ TEST(Donar, CommunicationBytesMatchMappingNodeModel) {
   DonarEngine engine{problem, options};
   // Aggregate vector of 4 doubles to each of 2 peers.
   EXPECT_EQ(engine.bytes_per_node_round(), 2u * (4 + 8 * 4));
+}
+
+// --- the Fig 9 deployment: EdrSystem hosting "donar" on mapping nodes ---
+
+core::SystemConfig donar_config() {
+  register_donar_algorithm();
+  core::SystemConfig cfg;
+  cfg.algorithm = "donar";
+  cfg.replicas = optim::paper_replica_set();
+  cfg.num_clients = 6;
+  cfg.seed = 5;
+  return cfg;
+}
+
+workload::Trace small_trace(std::uint64_t seed = 99) {
+  Rng rng{seed};
+  workload::TraceOptions options;
+  options.num_clients = 6;
+  options.horizon = 10.0;
+  return workload::Trace::generate(rng, workload::distributed_file_service(),
+                                   options);
+}
+
+TEST(DonarDeployment, ServesEveryRequest) {
+  const auto trace = small_trace();
+  core::EdrSystem system(donar_config(), trace);
+  const auto report = system.run();
+  EXPECT_EQ(report.requests_served, trace.size());
+  EXPECT_EQ(report.response_times_ms.size(), trace.size());
+}
+
+TEST(DonarDeployment, MegabyteLedgerBalances) {
+  const auto trace = small_trace();
+  core::EdrSystem system(donar_config(), trace);
+  const auto report = system.run();
+  EXPECT_GT(report.megabytes_served, 0.0);
+  EXPECT_NEAR(report.megabytes_served + report.megabytes_abandoned,
+              trace.total_megabytes(), trace.total_megabytes() * 1e-9);
+  double assigned = 0.0;
+  for (const auto& replica : report.replicas) assigned += replica.assigned_mb;
+  EXPECT_NEAR(assigned, report.megabytes_served,
+              report.megabytes_served * 1e-12);
+}
+
+TEST(DonarDeployment, ResponseTimesPositiveAndBounded) {
+  core::EdrSystem system(donar_config(), small_trace());
+  const auto report = system.run();
+  for (const double ms : report.response_times_ms) {
+    EXPECT_GT(ms, 0.0);
+    EXPECT_LT(ms, 10'000.0);
+  }
+  EXPECT_GT(report.mean_response_ms(), 0.0);
+}
+
+TEST(DonarDeployment, Deterministic) {
+  const auto trace = small_trace();
+  core::EdrSystem a(donar_config(), trace);
+  core::EdrSystem b(donar_config(), trace);
+  const auto ra = a.run();
+  const auto rb = b.run();
+  EXPECT_EQ(ra.total_rounds, rb.total_rounds);
+  EXPECT_EQ(ra.control_messages, rb.control_messages);
+  ASSERT_EQ(ra.response_times_ms.size(), rb.response_times_ms.size());
+  for (std::size_t i = 0; i < ra.response_times_ms.size(); ++i)
+    EXPECT_DOUBLE_EQ(ra.response_times_ms[i], rb.response_times_ms[i]);
+}
+
+TEST(DonarDeployment, RoundTrafficScalesWithMappingNodes) {
+  // The registry's "donar" has the default 3 mapping nodes; other counts
+  // go straight to the pipeline.
+  const auto trace = small_trace();
+  const auto run = [&](std::size_t mapping_nodes) {
+    DonarOptions options;
+    options.num_mapping_nodes = mapping_nodes;
+    core::EpochPipeline pipeline(
+        donar_config(), std::make_unique<DonarAlgorithm>(options), trace);
+    return pipeline.run();
+  };
+  const auto ra = run(3);
+  const auto rb = run(5);
+  ASSERT_GT(ra.total_rounds, 0u);
+  ASSERT_GT(rb.total_rounds, 0u);
+  const double per_round_a =
+      static_cast<double>(ra.control_bytes) / ra.total_rounds;
+  const double per_round_b =
+      static_cast<double>(rb.control_bytes) / rb.total_rounds;
+  EXPECT_GT(per_round_b, per_round_a);
+}
+
+TEST(DonarDeployment, RejectsBrokenConfig) {
+  auto cfg = donar_config();
+  cfg.replicas.clear();
+  EXPECT_THROW(core::EdrSystem(cfg, small_trace()), std::invalid_argument);
+  DonarOptions no_nodes;
+  no_nodes.num_mapping_nodes = 0;
+  EXPECT_THROW(DonarAlgorithm{no_nodes}, std::invalid_argument);
+}
+
+TEST(DonarDeployment, RejectsReplicaFaults) {
+  // Node id 0 is a mapping node here, not replica 0.
+  const auto trace = small_trace();
+  core::EdrSystem system(donar_config(), trace);
+  EXPECT_THROW(system.inject_recovery(0, 3.0), std::invalid_argument);
+  try {
+    system.inject_failure(0, 2.0);
+    ADD_FAILURE() << "inject_failure accepted a replica fault";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("mapping nodes"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(system.run().requests_served, trace.size());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Golden-equivalence regression for the DistributedAlgorithm refactor.
 //
 // The digests below were captured from the pre-refactor runtime (the
-// monolithic EdrSystem::Impl with per-algorithm switches, and DonarSystem's
+// monolithic EdrSystem::Impl with per-algorithm switches, and DONAR's
 // private event loop) and are asserted against the strategy-based
-// EpochPipeline.  Byte-identical means the refactor changed ZERO observable
+// EpochPipeline, which EdrSystem now hosts for every backend, DONAR
+// included.  Byte-identical means the refactor changed ZERO observable
 // behavior: the JSON run report, every response-time double (bit pattern),
 // and the full telemetry metrics JSONL (counter registration order, values,
 // histogram buckets) are all unchanged, for every backend.
@@ -21,7 +22,7 @@
 
 #include "analysis/experiments.hpp"
 #include "analysis/report_json.hpp"
-#include "baselines/donar_system.hpp"
+#include "baselines/donar_algorithm.hpp"
 #include "common/simd.hpp"
 #include "optim/instance.hpp"
 #include "telemetry/export.hpp"
@@ -140,39 +141,50 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // DONAR ran on its own hand-rolled event loop before the refactor; this
-// pins its re-host onto the shared EpochPipeline, down to the bit patterns
-// of every response time and the makespan.
+// pins its re-host onto EdrSystem's EpochPipeline, down to the bit patterns
+// of every response time and the makespan.  The old loop modelled no
+// power, traces, retries or ring; the mapping-node deployment must match
+// it whether or not those SystemConfig switches are turned off.
 TEST(GoldenEquivalence, DonarPipelineRehostIsByteIdentical) {
-  baselines::DonarSystemConfig cfg;
-  cfg.replicas = optim::paper_replica_set();
-  cfg.num_clients = 6;
-  cfg.seed = 5;
-  Rng rng{99};
-  workload::TraceOptions options;
-  options.num_clients = cfg.num_clients;
-  options.horizon = 10.0;
-  auto trace = workload::Trace::generate(
-      rng, workload::distributed_file_service(), options);
-  baselines::DonarSystem system(cfg, std::move(trace));
-  const auto report = system.run();
+  baselines::register_donar_algorithm();
+  for (const bool switches_on : {true, false}) {
+    SCOPED_TRACE(switches_on ? "switches on" : "switches off");
+    core::SystemConfig cfg;
+    cfg.algorithm = "donar";
+    cfg.replicas = optim::paper_replica_set();
+    cfg.num_clients = 6;
+    cfg.seed = 5;
+    cfg.derive_energy_model_from_power = switches_on;
+    cfg.retry_shed = switches_on;
+    cfg.enable_ring = switches_on;
+    cfg.record_traces = switches_on;
+    Rng rng{99};
+    workload::TraceOptions options;
+    options.num_clients = cfg.num_clients;
+    options.horizon = 10.0;
+    auto trace = workload::Trace::generate(
+        rng, workload::distributed_file_service(), options);
+    core::EdrSystem system(cfg, std::move(trace));
+    const auto report = system.run();
 
-  std::string blob;
-  blob += "epochs=" + std::to_string(report.epochs);
-  blob += " rounds=" + std::to_string(report.total_rounds);
-  blob += " served=" + std::to_string(report.requests_served);
-  blob += " msgs=" + std::to_string(report.control_messages);
-  blob += " bytes=" + std::to_string(report.control_bytes);
-  EXPECT_EQ(blob,
-            "epochs=10 rounds=1222 served=202 msgs=7588 bytes=505096");
-  std::uint64_t h = digest_string(blob);
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &report.makespan, sizeof bits);
-  h = fnv1a(&bits, sizeof bits, h);
-  EXPECT_EQ(h, 0x4427286b26cf99eeull) << "summary/makespan diverged";
-  EXPECT_EQ(report.response_times_ms.size(), 202u);
-  EXPECT_EQ(digest_doubles(report.response_times_ms),
-            0x27586f7600e821a9ull)
-      << "DONAR response-time bit patterns diverged";
+    std::string blob;
+    blob += "epochs=" + std::to_string(report.epochs);
+    blob += " rounds=" + std::to_string(report.total_rounds);
+    blob += " served=" + std::to_string(report.requests_served);
+    blob += " msgs=" + std::to_string(report.control_messages);
+    blob += " bytes=" + std::to_string(report.control_bytes);
+    EXPECT_EQ(blob,
+              "epochs=10 rounds=1222 served=202 msgs=7588 bytes=505096");
+    std::uint64_t h = digest_string(blob);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &report.makespan, sizeof bits);
+    h = fnv1a(&bits, sizeof bits, h);
+    EXPECT_EQ(h, 0x4427286b26cf99eeull) << "summary/makespan diverged";
+    EXPECT_EQ(report.response_times_ms.size(), 202u);
+    EXPECT_EQ(digest_doubles(report.response_times_ms),
+              0x27586f7600e821a9ull)
+        << "DONAR response-time bit patterns diverged";
+  }
 }
 
 // A large sparse instance with faults, pinning the simulated network's

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
-#include "baselines/donar_system.hpp"
+#include "baselines/donar_algorithm.hpp"
 #include "core/system.hpp"
 #include "optim/instance.hpp"
 
@@ -130,11 +130,10 @@ TEST(Reproduction, Fig9EdrComparableToDonar) {
   core::EdrSystem edr(edr_cfg, trace);
   const auto edr_report = edr.run();
 
-  baselines::DonarSystemConfig donar_cfg;
-  donar_cfg.replicas = edr_cfg.replicas;
-  donar_cfg.num_clients = 8;
-  donar_cfg.seed = 3;
-  baselines::DonarSystem donar(donar_cfg, trace);
+  baselines::register_donar_algorithm();
+  auto donar_cfg = edr_cfg;
+  donar_cfg.algorithm = "donar";
+  core::EdrSystem donar(donar_cfg, trace);
   const auto donar_report = donar.run();
 
   ASSERT_FALSE(edr_report.response_times_ms.empty());
