@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "analysis/experiments.hpp"
 #include "analysis/report_json.hpp"
 #include "baselines/donar_algorithm.hpp"
+#include "common/matrix.hpp"
 #include "common/simd.hpp"
 #include "optim/instance.hpp"
 #include "telemetry/export.hpp"
@@ -235,6 +237,96 @@ TEST(GoldenEquivalence, GeoScaleWithFaultsIsByteIdentical) {
                               2.5);
     system.inject_failure(5, 3.2);
     system.inject_recovery(5, 4.6);
+    const auto report = system.run();
+
+    const auto json = analysis::report_to_json(report, golden.algorithm);
+    const auto jsonl = telemetry::metrics_to_jsonl(cfg.telemetry->metrics());
+    EXPECT_EQ(digest_string(json), golden.report_digest)
+        << "report JSON diverged for " << golden.algorithm;
+    EXPECT_EQ(digest_doubles(report.response_times_ms),
+              golden.responses_digest)
+        << "response-time bit patterns diverged for " << golden.algorithm;
+    EXPECT_EQ(digest_string(jsonl), golden.metrics_digest)
+        << "telemetry metrics JSONL diverged for " << golden.algorithm;
+  }
+}
+
+// Link changes that land on the same (client, replica) pair more than once,
+// so the order in which their factors multiply is pinned: a per-client
+// latency x bandwidth cut, a replica-wide bandwidth cut of the same replica
+// and an all-pairs latency change, then the inverse factors in reverse
+// order.  The pair's client gets one request after the first three changes
+// and another after the last three, so the pair carries traffic in both
+// states, and the pair is the client's slowest, so its assignment arrives
+// last in the epoch and its link parameters reach the response times.
+TEST(GoldenEquivalence, CompoundLinkChangesAreByteIdentical) {
+  constexpr GeoGolden kCompoundGoldens[] = {
+      {"lddm", 0x81f27746cb2c9282ull, 0xae5a22aebbd8ad08ull,
+       0x7ae038eda9a8601aull},
+      {"cdpsm", 0xb09567386fcd8c07ull, 0x14fd232c8e95c7edull,
+       0xfd4bfba5804d1a4full},
+  };
+
+  constexpr int kClient = 17;
+  // 0.7 and 0.45 round differently in the two orders: (100 * 0.7) * 0.45
+  // is 31.5, (100 * 0.45) * 0.7 is 31.499999999999996.
+  constexpr double kClientCut = 0.7;
+  constexpr double kReplicaCut = 0.45;
+  for (const auto& golden : kCompoundGoldens) {
+    auto cfg = analysis::paper_config(golden.algorithm, 13);
+    cfg.num_clients = 2000;
+    cfg.representation = core::SolverRepresentation::kSparse;
+    cfg.simd = common::simd::Mode::kScalar;
+    cfg.telemetry = telemetry::make_telemetry();
+    Rng rng{29};
+    workload::TraceOptions options;
+    options.num_clients = cfg.num_clients;
+    options.horizon = 8.0;
+    auto requests = workload::Trace::generate(
+                        rng, workload::distributed_file_service(), options)
+                        .requests();
+    for (const SimTime arrival : {2.1, 6.1})
+      requests.push_back({.id = requests.size(),
+                          .client = kClient,
+                          .arrival = arrival,
+                          .size_mb = 40.0,
+                          .object_id = 1});
+    workload::Trace trace{std::move(requests)};
+
+    core::EdrSystem system(cfg, std::move(trace));
+    const Matrix& latency = system.config().latency;
+    int replica = 0;
+    for (int n = 1; n < static_cast<int>(latency.cols()); ++n)
+      if (latency(kClient, n) > latency(kClient, replica)) replica = n;
+    const core::LinkDegradation changes[] = {
+        {.client = kClient,
+         .replica = replica,
+         .latency_factor = 3.0,
+         .bandwidth_factor = kClientCut},
+        {.client = -1,
+         .replica = replica,
+         .latency_factor = 1.0,
+         .bandwidth_factor = kReplicaCut},
+        {.client = -1,
+         .replica = -1,
+         .latency_factor = 1.7,
+         .bandwidth_factor = 1.0},
+        {.client = -1,
+         .replica = -1,
+         .latency_factor = 1.0 / 1.7,
+         .bandwidth_factor = 1.0},
+        {.client = -1,
+         .replica = replica,
+         .latency_factor = 1.0,
+         .bandwidth_factor = 1.0 / kReplicaCut},
+        {.client = kClient,
+         .replica = replica,
+         .latency_factor = 1.0 / 3.0,
+         .bandwidth_factor = 1.0 / kClientCut},
+    };
+    const SimTime when[] = {0.4, 0.8, 1.2, 4.4, 4.8, 5.2};
+    for (std::size_t k = 0; k < std::size(changes); ++k)
+      system.inject_link_change(changes[k], when[k]);
     const auto report = system.run();
 
     const auto json = analysis::report_to_json(report, golden.algorithm);
