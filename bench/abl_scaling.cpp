@@ -6,6 +6,9 @@
 #include "bench_util.hpp"
 
 #include <chrono>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/donar.hpp"
 #include "common/thread_pool.hpp"
@@ -187,12 +190,11 @@ void thread_sweep() {
 // Fixed-round single-threaded wall clock of both iterative engines on a
 // geo-local instance (16 replicas, contiguous 2-replica feasibility
 // windows, so 12.5% density and exactly 16 client equivalence classes) at
-// 10^3, 10^4 and 10^5 clients, across the three iterate representations.
-// Rounds are pinned (tolerance 0) so every timing covers identical work.
-// The engines iterate on compact storage under every representation, so
-// dense and sparse time the same loop (dense only charges all-pairs
-// traffic); the dense column stays capped at 10^4 clients so the row set
-// matches the committed BENCH_abl_scaling.json baseline.
+// 10^3, 10^4 and 10^5 clients, on the sparse iterate and on the aggregated
+// client classes.  Rounds are pinned (tolerance 0) so every timing covers
+// identical work.  The engines iterate on compact storage under every
+// representation, so kDense would time the sparse loop again (it only
+// charges all-pairs traffic) and has no column.
 
 double cdpsm_rep_wall_ms(const optim::Problem& problem,
                          core::SolverRepresentation representation,
@@ -229,21 +231,16 @@ void client_sweep() {
   constexpr std::size_t kWindow = 2;
   constexpr std::size_t kCdpsmRounds = 4;
   constexpr std::size_t kLddmRounds = 30;
-  constexpr std::size_t kDenseMaxClients = 10000;
   const std::size_t sizes[] = {1000, 10000, 100000};
   const core::SolverRepresentation representations[] = {
-      core::SolverRepresentation::kDense,
       core::SolverRepresentation::kSparse,
       core::SolverRepresentation::kAggregated,
   };
 
   std::printf("client-count sweep, %zu replicas, window %zu "
-              "(single-threaded, cdpsm %zu / lddm %zu pinned rounds; dense "
-              "capped at %zu clients):\n",
-              kReplicas, kWindow, kCdpsmRounds, kLddmRounds,
-              kDenseMaxClients);
-  Table table({"engine", "clients", "dense ms", "sparse ms", "agg ms",
-               "sparse speedup"});
+              "(single-threaded, cdpsm %zu / lddm %zu pinned rounds):\n",
+              kReplicas, kWindow, kCdpsmRounds, kLddmRounds);
+  Table table({"engine", "clients", "sparse ms", "agg ms"});
   for (const std::size_t clients : sizes) {
     Rng rng{33};
     optim::GeoInstanceOptions geo;
@@ -253,29 +250,16 @@ void client_sweep() {
     const auto problem = optim::make_geo_instance(rng, geo);
     const auto sweep = [&](const char* name, auto&& wall_ms,
                            std::size_t rounds) {
-      double by_rep[3] = {0.0, 0.0, 0.0};
-      for (std::size_t i = 0; i < 3; ++i) {
-        const auto rep = representations[i];
-        if (rep == core::SolverRepresentation::kDense &&
-            clients > kDenseMaxClients)
-          continue;
-        by_rep[i] = wall_ms(problem, rep, rounds);
-        bench::record_metric(
-            "solve_wall_ms/clients/" + std::to_string(clients) + "/" +
-                std::string(core::to_string(rep)),
-            by_rep[i], "ms", name);
+      std::vector<std::string> row{name, std::to_string(clients)};
+      for (const auto rep : representations) {
+        const double ms = wall_ms(problem, rep, rounds);
+        bench::record_metric("solve_wall_ms/clients/" +
+                                 std::to_string(clients) + "/" +
+                                 std::string(core::to_string(rep)),
+                             ms, "ms", name);
+        row.push_back(Table::num(ms, 1));
       }
-      const bool have_dense = clients <= kDenseMaxClients;
-      const double speedup =
-          have_dense && by_rep[1] > 0.0 ? by_rep[0] / by_rep[1] : 0.0;
-      if (have_dense)
-        bench::record_metric(
-            "sparse_speedup/clients/" + std::to_string(clients), speedup,
-            "x", name);
-      table.add_row({name, std::to_string(clients),
-                     have_dense ? Table::num(by_rep[0], 1) : "-",
-                     Table::num(by_rep[1], 1), Table::num(by_rep[2], 1),
-                     have_dense ? Table::num(speedup, 2) : "-"});
+      table.add_row(std::move(row));
     };
     sweep("cdpsm", cdpsm_rep_wall_ms, kCdpsmRounds);
     sweep("lddm", lddm_rep_wall_ms, kLddmRounds);

@@ -251,6 +251,28 @@ build/tests/test_integration --gtest_filter='SparseScale.*' \
 echo "sparse smoke: 10^5-client geo instance solved inside the wall budget"
 
 echo
+echo "== memory gate (edr_sim, 2x10^5 clients, peak RSS) =="
+# The simulated network keeps O(clients + replicas) state: client<->replica
+# link parameters come from the latency matrix on demand and every client
+# shares one handler.  A table of all 2*C*N client links peaks at about
+# 170 MB here; the bound leaves room for the C*N latency matrix and the
+# solver's sparse pattern.  Regular tree only: ASan's shadow memory would
+# inflate the number.
+python3 - build/examples/edr_sim <<'PY'
+import resource, subprocess, sys
+BOUND_MB = 96
+subprocess.run([sys.argv[1], "--clients", "200000", "--replicas", "8",
+                "--representation", "sparse", "--horizon", "5"],
+               check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > BOUND_MB:
+    print(f"memory gate FAILED: peak RSS {peak_mb:.1f} MB > {BOUND_MB} MB",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"memory gate: peak RSS {peak_mb:.1f} MB <= {BOUND_MB} MB")
+PY
+
+echo
 echo "== live smoke (edr_live --spawn vs edr_sim --transport inproc) =="
 # Boot 4 real replica processes + the coordinator over localhost TCP for
 # lddm and cdpsm, then re-run the identical schedule over the in-process
@@ -347,4 +369,4 @@ fi
 echo "observability smoke: digests identical with tracing on and off"
 
 echo
-echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + live + observability)"
+echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + memory + live + observability)"

@@ -95,24 +95,27 @@ EpochPipeline::~EpochPipeline() {
 // ---------- setup ----------
 
 void EpochPipeline::setup_links() {
-  // Client <-> replica links carry the configured latency; the solver
-  // interconnect (used by round traffic and ring heartbeats) uses the
-  // minimum link latency (same-fabric assumption).
-  if (!decision_only_) {
-    for (std::size_t c = 0; c < num_clients_; ++c) {
-      for (std::size_t n = 0; n < num_replicas_; ++n) {
-        net::LinkParams params;
-        params.latency = cfg_.latency(c, n);
-        params.bandwidth_mbps = cfg_.replicas[n].bandwidth;
-        network_.set_link(client_node(c), solver_node(n), params);
-        network_.set_link(solver_node(n), client_node(c), params);
-      }
-    }
-  }
+  // The solver interconnect (used by round traffic and ring heartbeats)
+  // uses the minimum link latency (same-fabric assumption).
   net::LinkParams inter;
   inter.latency = cfg_.min_link_latency;
   inter.bandwidth_mbps = cfg_.replicas.front().bandwidth;
-  network_.set_default_link(inter);
+  if (decision_only_) {
+    network_.set_default_link(inter);
+    return;
+  }
+  // Client <-> replica links carry the configured latency and the replica's
+  // bandwidth, read live: inject_link_change scales the config, so the
+  // scheduler's feasibility view and the delivery path agree.
+  network_.set_link_model([this, inter](net::NodeId from, net::NodeId to) {
+    const net::NodeId replica = std::min(from, to);
+    const net::NodeId client = std::max(from, to);
+    if (replica >= num_replicas_ || client < client_node(0)) return inter;
+    net::LinkParams params;
+    params.latency = cfg_.latency(client - client_node(0), replica);
+    params.bandwidth_mbps = cfg_.replicas[replica].bandwidth;
+    return params;
+  });
 }
 
 void EpochPipeline::attach_nodes() {
@@ -121,11 +124,9 @@ void EpochPipeline::attach_nodes() {
       on_solver_message(s, msg);
     });
   }
-  for (std::size_t c = 0; c < num_clients_; ++c) {
-    network_.attach(client_node(c), [this, c](const net::Message& msg) {
-      on_client_message(c, msg);
-    });
-  }
+  network_.attach_range(
+      client_node(0), num_clients_,
+      [this](const net::Message& msg) { on_client_message(msg); });
 }
 
 void EpochPipeline::start_ring() {
@@ -204,9 +205,7 @@ void EpochPipeline::on_solver_message(std::size_t s,
   if (algorithm_->is_round_type(msg.type)) on_round_message(msg);
 }
 
-void EpochPipeline::on_client_message(std::size_t c,
-                                      const net::Message& msg) {
-  (void)c;
+void EpochPipeline::on_client_message(const net::Message& msg) {
   if (algorithm_->is_round_type(msg.type)) {
     on_round_message(msg);
     return;
@@ -295,17 +294,29 @@ void EpochPipeline::inject_link_change(const LinkDegradation& change,
     const std::size_t n_lo = change.replica < 0 ? 0 : change.replica;
     const std::size_t n_hi =
         change.replica < 0 ? num_replicas_ : change.replica + 1;
+    // The link model reads the config, so scaling it moves every pair that
+    // follows the model.  A per-client bandwidth cut moves its pairs off
+    // the replica's bandwidth: they get an override, which every later
+    // change scales in step with the config.
+    const bool client_cut =
+        change.client >= 0 && change.bandwidth_factor != 1.0;
     for (std::size_t c = c_lo; c < c_hi; ++c) {
       for (std::size_t n = n_lo; n < n_hi; ++n) {
-        // The scheduler's feasibility view and the delivery path must
-        // agree, so mutate both the config matrix and the live links.
+        const bool overridden =
+            !decision_only_ &&
+            (client_cut || overridden_pairs_.contains({c, n}));
+        // Read before the config moves: a pair without an override would
+        // read the scaled latency through the model.
+        net::LinkParams params;
+        if (overridden)
+          params = network_.link(client_node(c), solver_node(n));
         cfg_.latency(c, n) *= change.latency_factor;
-        if (decision_only_) continue;
-        auto params = network_.link(client_node(c), solver_node(n));
+        if (!overridden) continue;
         params.latency *= change.latency_factor;
         params.bandwidth_mbps *= change.bandwidth_factor;
         network_.set_link(client_node(c), solver_node(n), params);
         network_.set_link(solver_node(n), client_node(c), params);
+        overridden_pairs_.emplace(c, n);
       }
     }
     // A replica-wide cut also shrinks the capacity the optimizer plans

@@ -21,6 +21,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -64,6 +66,9 @@ class EpochPipeline {
   Rng rng_;
   net::Simulator sim_;
   net::SimNetwork network_{sim_};
+  // (client, replica) pairs with a set_link override in both directions:
+  // a per-client bandwidth cut moved them off the link model.
+  std::set<std::pair<std::size_t, std::size_t>> overridden_pairs_;
 
   std::size_t num_replicas_ = 0;
   std::size_t num_clients_ = 0;
@@ -154,7 +159,7 @@ class EpochPipeline {
   void send_control(net::NodeId from, net::NodeId to, int type,
                     std::size_t bytes, std::any payload = {});
   void on_solver_message(std::size_t s, const net::Message& msg);
-  void on_client_message(std::size_t c, const net::Message& msg);
+  void on_client_message(const net::Message& msg);
 
   void on_member_dead(net::NodeId dead);
 

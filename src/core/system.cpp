@@ -36,12 +36,11 @@ EdrSystem::EdrSystem(SystemConfig config, workload::Trace trace) {
   auto algorithm = make_algorithm(config);
   impl_ = std::make_unique<EpochPipeline>(
       std::move(config), std::move(algorithm), std::move(trace));
-  // The pipeline may fill in generated pieces (e.g. the latency matrix);
-  // expose its view so config() reflects what actually runs.
-  config_ = impl_->config();
 }
 
 EdrSystem::~EdrSystem() = default;
+
+const SystemConfig& EdrSystem::config() const { return impl_->config(); }
 
 void EdrSystem::inject_failure(std::size_t replica, SimTime when) {
   if (replica >= impl_->num_replicas())

@@ -256,11 +256,12 @@ class EdrSystem {
   /// Execute the whole trace; may be called once.
   RunReport run();
 
-  [[nodiscard]] const SystemConfig& config() const { return config_; }
+  /// The configuration that runs, generated pieces (the latency matrix)
+  /// filled in; link changes scale it once they have happened.
+  [[nodiscard]] const SystemConfig& config() const;
 
  private:
   std::unique_ptr<EpochPipeline> impl_;
-  SystemConfig config_;
 };
 
 /// Convenience latency-matrix generator shared with the instance generator.

@@ -7,12 +7,35 @@ namespace edr::net {
 
 namespace {
 
-/// First link in a destination-sorted table whose `to` is not below `to`.
+/// Where the directed link from -> to is kept: in the table of its
+/// higher-numbered endpoint, the owner.
+struct LinkSlot {
+  NodeId owner;
+  NodeId peer;
+  bool outbound;
+};
+
+LinkSlot slot_of(NodeId from, NodeId to) {
+  return from > to ? LinkSlot{from, to, true} : LinkSlot{to, from, false};
+}
+
+/// A table's sort order: by peer, the owner's outbound link first, so a
+/// set-up loop that sets both directions of ascending pairs only appends.
+std::uint64_t order(NodeId peer, bool outbound) {
+  return std::uint64_t{peer} << 1 | (outbound ? 0U : 1U);
+}
+
+template <typename Link>
+std::uint64_t order(const Link& link) {
+  return order(link.peer, link.outbound);
+}
+
+/// First link in a table whose order is not below `key`.
 template <typename Links>
-auto lower_bound_to(Links& links, NodeId to) {
+auto lower_bound_order(Links& links, std::uint64_t key) {
   return std::lower_bound(
-      links.begin(), links.end(), to,
-      [](const auto& link, NodeId id) { return link.to < id; });
+      links.begin(), links.end(), key,
+      [](const auto& link, std::uint64_t k) { return order(link) < k; });
 }
 
 }  // namespace
@@ -22,38 +45,80 @@ SimNetwork::Node& SimNetwork::node(NodeId id) {
   return nodes_[id];
 }
 
+std::uint32_t SimNetwork::add_handler(Handler handler, std::size_t nodes) {
+  std::uint32_t index = 0;
+  if (free_handlers_.empty()) {
+    index = static_cast<std::uint32_t>(handlers_.size());
+    handlers_.emplace_back();
+  } else {
+    index = free_handlers_.back();
+    free_handlers_.pop_back();
+  }
+  handlers_[index].fn = std::move(handler);
+  handlers_[index].nodes = static_cast<std::uint32_t>(nodes);
+  return index;
+}
+
+void SimNetwork::release_handler(std::uint32_t index) {
+  SharedHandler& shared = handlers_[index];
+  // A running handler is freed by deliver() once it returns.
+  if (--shared.nodes > 0 || shared.running) return;
+  shared.fn = nullptr;
+  free_handlers_.push_back(index);
+}
+
 void SimNetwork::attach(NodeId id, Handler handler) {
-  Node& n = node(id);
-  n.handler = std::move(handler);
-  n.attached = true;
+  attach_range(id, 1, std::move(handler));
+}
+
+void SimNetwork::attach_range(NodeId first, std::size_t count,
+                              Handler handler) {
+  if (count == 0) return;
+  const std::uint32_t index = add_handler(std::move(handler), count);
+  if (first + count > nodes_.size()) nodes_.resize(first + count);
+  for (std::size_t id = first; id < first + count; ++id) {
+    Node& n = nodes_[id];
+    if (n.handler != kDetached) release_handler(n.handler);
+    n.handler = index;
+  }
 }
 
 void SimNetwork::detach(NodeId id) {
-  if (id >= nodes_.size()) return;
-  nodes_[id].handler = nullptr;
-  nodes_[id].attached = false;
+  if (id >= nodes_.size() || nodes_[id].handler == kDetached) return;
+  release_handler(nodes_[id].handler);
+  nodes_[id].handler = kDetached;
 }
 
 bool SimNetwork::attached(NodeId id) const {
-  return id < nodes_.size() && nodes_[id].attached;
+  return id < nodes_.size() && nodes_[id].handler != kDetached;
 }
 
 const SimNetwork::Link* SimNetwork::find_link(NodeId from, NodeId to) const {
-  if (from >= nodes_.size()) return nullptr;
-  const auto& links = nodes_[from].links;
-  const auto it = lower_bound_to(links, to);
-  return it != links.end() && it->to == to ? &*it : nullptr;
+  const LinkSlot slot = slot_of(from, to);
+  if (slot.owner >= nodes_.size()) return nullptr;
+  const auto& links = nodes_[slot.owner].links;
+  const std::uint64_t key = order(slot.peer, slot.outbound);
+  const auto it = lower_bound_order(links, key);
+  return it != links.end() && order(*it) == key ? &*it : nullptr;
 }
 
 SimNetwork::Link& SimNetwork::link_entry(NodeId from, NodeId to) {
-  auto& links = node(from).links;
-  // Set-up loops add destinations in ascending order: append, no search.
-  auto it = !links.empty() && to <= links.back().to ? lower_bound_to(links, to)
-                                                     : links.end();
-  if (it != links.end() && it->to == to) return *it;
+  const LinkSlot slot = slot_of(from, to);
+  auto& links = node(slot.owner).links;
+  const std::uint64_t key = order(slot.peer, slot.outbound);
+  // Set-up loops add links in ascending order: append, no search.
+  auto it = !links.empty() && key <= order(links.back())
+                ? lower_bound_order(links, key)
+                : links.end();
+  if (it != links.end() && order(*it) == key) return *it;
   it = links.insert(it, Link{});
-  it->to = to;
+  it->peer = slot.peer;
+  it->outbound = slot.outbound;
   return *it;
+}
+
+void SimNetwork::set_default_link(LinkParams params) {
+  link_model_ = [params](NodeId, NodeId) { return params; };
 }
 
 void SimNetwork::set_link(NodeId from, NodeId to, LinkParams params) {
@@ -65,7 +130,7 @@ void SimNetwork::set_link(NodeId from, NodeId to, LinkParams params) {
 LinkParams SimNetwork::link(NodeId from, NodeId to) const {
   const Link* found = find_link(from, to);
   return found != nullptr && found->overridden ? found->params
-                                               : default_link_;
+                                               : link_model_(from, to);
 }
 
 SimTime SimNetwork::nominal_delay(NodeId from, NodeId to,
@@ -94,7 +159,8 @@ void SimNetwork::send(Message message) {
   }
 
   Link& link = link_entry(message.from, message.to);
-  const LinkParams& params = link.overridden ? link.params : default_link_;
+  const LinkParams params =
+      link.overridden ? link.params : link_model_(message.from, message.to);
   const double transmission =
       params.bandwidth_mbps > 0.0
           ? static_cast<double>(message.bytes) / (params.bandwidth_mbps * 1e6)
@@ -151,12 +217,18 @@ void SimNetwork::deliver(std::uint32_t slot) {
         "net", message.to);
   }
   // The handler runs from the stack, so attach/detach calls it makes
-  // (including on its own node, or ones that grow nodes_) cannot free it
-  // mid-call.  It goes back unless it detached or replaced its own node.
-  Handler handler = std::move(receiver.handler);
+  // (including on its own nodes, or ones that grow the tables) cannot free
+  // it mid-call.  It goes back unless every node it served let go of it.
+  const std::uint32_t index = receiver.handler;
+  handlers_[index].running = true;
+  Handler handler = std::move(handlers_[index].fn);
   handler(message);
-  Node& after = nodes_[message.to];
-  if (after.attached && !after.handler) after.handler = std::move(handler);
+  SharedHandler& after = handlers_[index];
+  after.running = false;
+  if (after.nodes > 0)
+    after.fn = std::move(handler);
+  else
+    free_handlers_.push_back(index);
 }
 
 TypeTraffic SimNetwork::traffic_in_range(int first_type,
@@ -214,6 +286,12 @@ TrafficStats SimNetwork::total_stats() const {
     total.bytes_received += n.traffic.bytes_received;
   }
   return total;
+}
+
+std::size_t SimNetwork::tracked_links() const {
+  std::size_t links = 0;
+  for (const auto& n : nodes_) links += n.links.size();
+  return links;
 }
 
 std::size_t SimNetwork::tracked_nodes() const {

@@ -7,14 +7,26 @@
 // per-node traffic counters (which drive the communication-complexity
 // comparisons between CDPSM, LDDM and DONAR).
 //
-// Storage is flat, because a send is the simulator's hottest path:
-//  - Per-node state (handler, traffic counters, outgoing links) lives in
-//    one vector indexed by NodeId.
-//  - A node's outgoing links form one table sorted by destination.  An
-//    entry holds the link's override (if any) and its FIFO busy-until time,
-//    so a send does one lookup.  Set-up loops that walk destinations in
-//    ascending order only append.  A pair that has carried traffic but has
-//    no override keeps following set_default_link.
+// Storage is flat, because a send is the simulator's hottest path, and
+// O(nodes + traffic) rather than O(pairs), because a deployment has millions
+// of clients but only the pairs that carry a request ever need a link:
+//  - Per-node state (handler index, traffic counters, link table) lives in
+//    one vector indexed by NodeId.  Handlers live in a side table: a
+//    contiguous range of nodes (every client) shares one entry, so a node
+//    carries no closure of its own.
+//  - A pair without an override takes its parameters from the link model
+//    the network's owner installs, asked again on every send, so it follows
+//    whatever state the model reads (the pipeline's latency matrix and
+//    replica bandwidths).  set_default_link installs the constant model.
+//  - A link-table entry exists only for a set_link override or for a
+//    directed pair that has carried traffic; it holds the override (if any)
+//    and the link's FIFO busy-until time, so a send does one lookup.  Both
+//    directions of a pair live in the table of the higher-numbered
+//    endpoint, sorted by the other one: with clients numbered after the
+//    replicas, a client's table holds its few replica links, and a
+//    replica's table does not grow with every client it answers (where
+//    each first reply would be an insertion into a long sorted vector).
+//    Set-up loops that walk ascending pairs only append.
 //  - A message in flight waits in a reusable slot, so its delivery event
 //    captures only {this, slot} and fits std::function's inline buffer: a
 //    send allocates nothing once the slot array and the event heap have
@@ -84,6 +96,10 @@ struct TypeTraffic {
 /// Message handler: invoked at delivery time on the destination node.
 using Handler = std::function<void(const Message&)>;
 
+/// Parameters of the directed link from -> to, for a pair without a
+/// set_link override.
+using LinkModel = std::function<LinkParams(NodeId from, NodeId to)>;
+
 class SimNetwork {
  public:
   explicit SimNetwork(Simulator& sim) : sim_(sim) {}
@@ -94,16 +110,24 @@ class SimNetwork {
 
   /// Register (or replace) the handler for `node`.
   void attach(NodeId node, Handler handler);
+  /// Register one shared handler for every node in [first, first + count)
+  /// (it reads Message::to to tell them apart).  A later attach or detach
+  /// of one node in the range changes only that node's registration.
+  void attach_range(NodeId first, std::size_t count, Handler handler);
 
   /// Remove a node: pending deliveries to it are dropped (crash semantics).
   void detach(NodeId node);
 
   [[nodiscard]] bool attached(NodeId node) const;
 
-  /// Default parameters for links without an explicit override.
-  void set_default_link(LinkParams params) { default_link_ = params; }
+  /// Parameters for every pair without an explicit override; the model is
+  /// asked on each send and link() query, never cached.
+  void set_link_model(LinkModel model) { link_model_ = std::move(model); }
+  /// The constant link model.
+  void set_default_link(LinkParams params);
   /// Directed per-pair override.
   void set_link(NodeId from, NodeId to, LinkParams params);
+  /// The pair's override, else the model's parameters; creates no entry.
   [[nodiscard]] LinkParams link(NodeId from, NodeId to) const;
 
   /// Send `message` (from/to must be set).  Delivery is scheduled after
@@ -128,6 +152,9 @@ class SimNetwork {
   /// Number of nodes that sent or received at least one message
   /// (regression hook for the no-insert-on-read guarantee above).
   [[nodiscard]] std::size_t tracked_nodes() const;
+  /// Number of link-table entries: overrides plus pairs that have carried
+  /// traffic (regression hook for the O(nodes + traffic) storage above).
+  [[nodiscard]] std::size_t tracked_links() const;
   /// Messages dropped by lossy links so far.
   [[nodiscard]] std::uint64_t messages_lost() const { return lost_; }
 
@@ -159,23 +186,36 @@ class SimNetwork {
   [[nodiscard]] Simulator& sim() { return sim_; }
 
  private:
-  /// One directed link out of a node.
+  /// One directed link, kept in the table of its higher-numbered endpoint
+  /// (see the storage notes above).
   struct Link {
-    NodeId to = 0;
-    /// False until set_link: the link then follows default_link_.
+    /// The lower-numbered endpoint (the owner itself on a self-link).
+    NodeId peer = 0;
+    /// The owner is the sender.
+    bool outbound = false;
+    /// False until set_link: the link then follows link_model_.
     bool overridden = false;
     LinkParams params;
     /// FIFO serialization: the time the link finishes its last transmission.
     SimTime busy_until = 0.0;
   };
+  static constexpr std::uint32_t kDetached =
+      std::numeric_limits<std::uint32_t>::max();
   struct Node {
-    /// Empty while the handler runs: deliver() moves it to the stack so
-    /// the handler may attach, detach or grow nodes_ safely.
-    Handler handler;
-    bool attached = false;
+    /// Index into handlers_, or kDetached.
+    std::uint32_t handler = kDetached;
     TrafficStats traffic;
-    /// Outgoing links, sorted by `to`.
+    /// Links to and from lower-numbered nodes, sorted by (peer, outbound).
     std::vector<Link> links;
+  };
+  /// A handler and the number of nodes registered to it; the entry is
+  /// reused once that drops to zero.
+  struct SharedHandler {
+    /// Empty while it runs: deliver() moves it to the stack so the handler
+    /// may attach, detach or grow the tables safely.
+    Handler fn;
+    std::uint32_t nodes = 0;
+    bool running = false;
   };
   struct InFlight {
     Message message;
@@ -185,14 +225,18 @@ class SimNetwork {
   Node& node(NodeId id);
   [[nodiscard]] const Link* find_link(NodeId from, NodeId to) const;
   Link& link_entry(NodeId from, NodeId to);
+  std::uint32_t add_handler(Handler handler, std::size_t nodes);
+  void release_handler(std::uint32_t index);
   void deliver(std::uint32_t slot);
   [[nodiscard]] std::array<telemetry::Counter, 2>& type_metrics(int type);
 
   Simulator& sim_;
   Rng loss_rng_{0x1055ee7dULL};
   std::uint64_t lost_ = 0;
-  LinkParams default_link_;
+  LinkModel link_model_ = [](NodeId, NodeId) { return LinkParams{}; };
   std::vector<Node> nodes_;
+  std::vector<SharedHandler> handlers_;
+  std::vector<std::uint32_t> free_handlers_;
   SlotPool<InFlight> in_flight_;
   std::map<int, TypeTraffic> traffic_by_type_;
   std::map<int, std::string> type_names_;

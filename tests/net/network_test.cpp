@@ -374,6 +374,139 @@ TEST(SimNetwork, TrafficOnlyPairFollowsALaterDefaultLink) {
   EXPECT_NEAR(f.deliveries[1].second - sent_at, 0.007, 1e-12);
 }
 
+TEST(SimNetwork, PairWithoutOverrideFollowsTheLiveModel) {
+  // The model is asked on every send, so a pair keeps following the state
+  // it reads after the pair has carried traffic and has a FIFO entry.
+  Fixture f;
+  f.attach(2);
+  double latency_ms = 3.0;
+  f.network.set_link_model([&latency_ms](NodeId from, NodeId to) {
+    return LinkParams{.latency = latency_ms + from + to,
+                      .bandwidth_mbps = 100.0};
+  });
+  f.network.send(f.make(1, 2));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 1u);
+  EXPECT_NEAR(f.deliveries[0].second, 0.006, 1e-12);
+  latency_ms = 10.0;
+  EXPECT_DOUBLE_EQ(f.network.link(1, 2).latency, 13.0);
+  const SimTime sent_at = f.sim.now();
+  f.network.send(f.make(1, 2));
+  f.sim.run();
+  ASSERT_EQ(f.deliveries.size(), 2u);
+  EXPECT_NEAR(f.deliveries[1].second - sent_at, 0.013, 1e-12);
+  // An override wins over the model until the end.
+  f.network.set_link(1, 2, {.latency = 1.0, .bandwidth_mbps = 100.0});
+  latency_ms = 20.0;
+  EXPECT_DOUBLE_EQ(f.network.link(1, 2).latency, 1.0);
+  EXPECT_DOUBLE_EQ(f.network.link(2, 1).latency, 23.0);
+}
+
+TEST(SimNetwork, LinkQueriesCreateNoEntry) {
+  Fixture f;
+  f.network.set_link_model([](NodeId, NodeId to) {
+    return LinkParams{.latency = static_cast<double>(to),
+                      .bandwidth_mbps = 1.0};
+  });
+  EXPECT_DOUBLE_EQ(f.network.link(1, 7).latency, 7.0);
+  EXPECT_NEAR(f.network.nominal_delay(1, 7, 1'000'000), 0.007 + 1.0, 1e-12);
+  for (NodeId n = 100; n < 200; ++n) (void)f.network.nominal_delay(n, 1, 8);
+  EXPECT_EQ(f.network.tracked_links(), 0u);
+}
+
+TEST(SimNetwork, LazyEntrySerializesLikeAPresetOne) {
+  // Two back-to-back 1 MB sends queue FIFO whether the pair's entry was
+  // made by set_link beforehand or by the first send through the model.
+  const LinkParams params{.latency = 2.0, .bandwidth_mbps = 1.0};
+  Fixture preset;
+  preset.network.set_link(1, 2, params);
+  Fixture lazy;
+  lazy.network.set_link_model([&params](NodeId, NodeId) { return params; });
+  for (Fixture* f : {&preset, &lazy}) {
+    f->attach(2);
+    f->network.send(f->make(1, 2, 1'000'000));
+    f->network.send(f->make(1, 2, 1'000'000));
+    f->sim.run();
+    EXPECT_EQ(f->network.tracked_links(), 1u);
+  }
+  ASSERT_EQ(lazy.deliveries.size(), 2u);
+  EXPECT_EQ(lazy.deliveries, preset.deliveries);
+  EXPECT_NEAR(lazy.deliveries[1].second, 2.002, 1e-9);
+}
+
+TEST(SimNetwork, RangeHandlerSurvivesDetachAndReattachOfOneNode) {
+  // Nodes 10..14 share one handler.  Node 11 is detached from outside and
+  // re-attached to a handler of its own; node 12 does the same to itself
+  // from inside the shared handler, which must keep serving 13 and 14
+  // (ASan checks the running closure's reads).
+  Fixture f;
+  auto& network = f.network;
+  std::vector<std::pair<char, NodeId>> log;
+  const Handler own = [&log](const Message& m) { log.emplace_back('o', m.to); };
+  network.attach_range(10, 5, [&network, &log, &own](const Message& msg) {
+    if (msg.to == 12) {
+      network.detach(12);
+      network.attach(12, own);
+    }
+    log.emplace_back('r', msg.to);
+  });
+  for (NodeId n = 10; n < 15; ++n) EXPECT_TRUE(network.attached(n));
+  EXPECT_FALSE(network.attached(15));
+
+  network.detach(11);
+  for (NodeId n = 10; n < 15; ++n) network.send(f.make(1, n));
+  f.sim.run();
+  network.attach(11, own);
+  for (NodeId n = 10; n < 15; ++n) network.send(f.make(1, n));
+  f.sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<char, NodeId>>{
+                     {'r', 10}, {'r', 12}, {'r', 13}, {'r', 14},
+                     {'r', 10}, {'o', 11}, {'o', 12}, {'r', 13}, {'r', 14}}));
+}
+
+TEST(SimNetwork, RangeHandlerMayDropEveryNodeItServes) {
+  // The last node of a range lets go of the shared handler while it runs;
+  // the handler finishes, and its entry is reused by a later attach.
+  Fixture f;
+  auto& network = f.network;
+  std::vector<NodeId> log;
+  network.attach_range(3, 2, [&network, &log](const Message& msg) {
+    network.detach(3);
+    network.detach(4);
+    log.push_back(msg.to);
+  });
+  network.send(f.make(1, 4));
+  network.send(f.make(1, 3));
+  f.sim.run();
+  EXPECT_EQ(log, std::vector<NodeId>{4});
+  EXPECT_FALSE(network.attached(3));
+  EXPECT_FALSE(network.attached(4));
+  network.attach_range(3, 2, [&log](const Message& msg) {
+    log.push_back(msg.to + 100);
+  });
+  network.send(f.make(1, 3));
+  f.sim.run();
+  EXPECT_EQ(log, (std::vector<NodeId>{4, 103}));
+}
+
+TEST(SimNetwork, TrackedLinksCountsOverridesAndTrafficPairsOnly) {
+  Fixture f;
+  f.attach(2);
+  f.attach(4);
+  EXPECT_EQ(f.network.tracked_links(), 0u);
+  f.network.set_link(1, 2, {.latency = 1.0, .bandwidth_mbps = 1.0});
+  EXPECT_EQ(f.network.tracked_links(), 1u);
+  f.network.send(f.make(1, 2));  // overridden pair: no new entry
+  f.network.send(f.make(3, 4));
+  f.network.send(f.make(3, 4));
+  f.network.send(f.make(4, 3));  // directed: a second entry
+  f.sim.run();
+  EXPECT_EQ(f.network.tracked_links(), 3u);
+  f.network.set_link(3, 4, {.latency = 1.0, .bandwidth_mbps = 1.0});
+  (void)f.network.link(5, 6);
+  EXPECT_EQ(f.network.tracked_links(), 3u);
+}
+
 TEST(SimNetwork, TrackedNodesCountsOnlySendersAndReceivers) {
   Fixture f;
   for (NodeId n = 1; n <= 5; ++n) f.attach(n);
