@@ -142,6 +142,66 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.record_traces ? "_traces" : "");
     });
 
+// Every table above attaches telemetry, which turns on CDPSM's consensus
+// residual gauges.  These pin the paper configuration with no telemetry at
+// all, under dense and sparse storage: the run report and the response
+// times must not depend on whether anything reads the residuals.
+TEST(GoldenEquivalence, CdpsmWithoutTelemetryIsByteIdentical) {
+  struct Golden {
+    core::SolverRepresentation representation;
+    std::uint64_t report_digest;
+    std::uint64_t responses_digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {core::SolverRepresentation::kDense, 0x47f2de127e73fb64ull,
+       0xef29dbcbf6592f3aull},
+      {core::SolverRepresentation::kSparse, 0xb45b7c97bfeb2a5full,
+       0xce9bba985ad0b6d7ull},
+  };
+  for (const auto& golden : kGoldens) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      auto cfg = analysis::paper_config("cdpsm", 7);
+      cfg.representation = golden.representation;
+      cfg.solver_threads = threads;
+      cfg.simd = common::simd::Mode::kScalar;
+      ASSERT_EQ(cfg.telemetry, nullptr);
+      core::EdrSystem system(
+          cfg, analysis::paper_trace(workload::distributed_file_service(),
+                                     42, 12.0));
+      const auto report = system.run();
+      const auto json = analysis::report_to_json(report, "cdpsm");
+      EXPECT_EQ(digest_string(json), golden.report_digest)
+          << core::to_string(golden.representation) << " threads=" << threads;
+      EXPECT_EQ(digest_doubles(report.response_times_ms),
+                golden.responses_digest)
+          << core::to_string(golden.representation) << " threads=" << threads;
+    }
+  }
+}
+
+// The flight recorder is the other reader of CDPSM's residuals: each
+// per-replica sample carries the round's estimate disagreement, and each
+// epoch summary its final value.  Pins the recorder's JSONL dump and the
+// report, whose "convergence" section repeats the summaries.
+TEST(GoldenEquivalence, CdpsmFlightRecorderIsByteIdentical) {
+  auto cfg = analysis::paper_config("cdpsm", 7);
+  cfg.simd = common::simd::Mode::kScalar;
+  cfg.telemetry = telemetry::make_telemetry();
+  cfg.telemetry->enable_flight_recorder();
+  core::EdrSystem system(
+      cfg,
+      analysis::paper_trace(workload::distributed_file_service(), 42, 12.0));
+  const auto report = system.run();
+  const auto flight =
+      telemetry::flight_to_jsonl(*cfg.telemetry->flight_recorder());
+  ASSERT_NE(flight.find("\"disagreement\""), std::string::npos);
+  EXPECT_EQ(digest_string(flight), 0x164aa12f108efc55ull)
+      << "flight JSONL diverged";
+  EXPECT_EQ(digest_string(analysis::report_to_json(report, "cdpsm")),
+            0xeb15dee355b907c4ull)
+      << "report JSON diverged";
+}
+
 // DONAR ran on its own hand-rolled event loop before the refactor; this
 // pins its re-host onto EdrSystem's EpochPipeline, down to the bit patterns
 // of every response time and the makespan.  The old loop modelled no
