@@ -1,7 +1,9 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 
 // x86-64 only: SSE2 is part of the base ABI there, so the _mm_ bodies need
@@ -36,9 +38,35 @@ Level active_level() {
   return level;
 }
 
+/// std::max(x, 0.0) without a branch.  maxsd returns its second operand on
+/// equality or NaN, so max(0, x) keeps -0.0 and NaN exactly as std::max
+/// does; the plain std::max compiles to a compare and a branch per element
+/// at -O2.
+inline double clamp_nonneg(double x) {
+#if EDR_SIMD_X86
+  return _mm_cvtsd_f64(_mm_max_sd(_mm_setzero_pd(), _mm_set_sd(x)));
+#else
+  return std::max(x, 0.0);
+#endif
+}
+
+/// A bound on partial sums of squares past which sqrt(total) <= `bound` is
+/// already false: a sum of non-negative terms never decreases under
+/// rounding, and neither does sqrt, so once a partial sum exceeds the
+/// largest s with sqrt(s) <= bound the full one does too (or is NaN).
+/// bound² rounds to nearest; step up past every sum whose root still
+/// rounds to at most `bound`.  A NaN bound gives NaN, which no sum exceeds.
+double sum_exit_limit(double bound) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double limit = bound * bound;
+  while (limit < kInf && std::sqrt(std::nextafter(limit, kInf)) <= bound)
+    limit = std::nextafter(limit, kInf);
+  return limit;
+}
+
 // ---------- scalar bodies ----------
-// Verbatim copies of the loops these kernels replaced; Mode::kScalar must
-// stay byte-identical to the pre-SIMD code paths.
+// The loops these kernels replaced; Mode::kScalar must stay byte-identical
+// to the pre-SIMD code paths.
 
 void axpy_scalar(double* y, double a, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
@@ -48,20 +76,23 @@ void accumulate_scalar(double* y, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
+#if !EDR_SIMD_X86
+// The clamps' x86-64 kScalar path is the SSE2 body (see sub_clamp).
 void sub_clamp_scalar(double* v, double tau, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) v[i] = std::max(v[i] - tau, 0.0);
+  for (std::size_t i = 0; i < n; ++i) v[i] = clamp_nonneg(v[i] - tau);
 }
 
 void masked_sub_clamp_scalar(double* v, const double* mask, double tau,
                              std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
-    v[i] = mask[i] != 0.0 ? std::max(v[i] - tau, 0.0) : 0.0;
+    v[i] = mask[i] != 0.0 ? clamp_nonneg(v[i] - tau) : 0.0;
 }
+#endif
 
 double clip_nonneg_sum_scalar(double* v, std::size_t n) {
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    v[i] = std::max(v[i], 0.0);
+    v[i] = clamp_nonneg(v[i]);
     total += v[i];
   }
   return total;
@@ -74,6 +105,18 @@ double distance_scalar(const double* a, const double* b, std::size_t n) {
     sum += d * d;
   }
   return std::sqrt(sum);
+}
+
+bool distance_within_scalar(const double* a, const double* b, std::size_t n,
+                            double bound) {
+  const double limit = sum_exit_limit(bound);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+    if (sum > limit) return false;
+  }
+  return std::sqrt(sum) <= bound;
 }
 
 void cesaro_step_scalar(double* avg, const double* col, double k,
@@ -112,7 +155,7 @@ void sub_clamp_sse2(double* v, double tau, std::size_t n) {
   for (; i + 2 <= n; i += 2)
     _mm_storeu_pd(
         v + i, _mm_max_pd(zero, _mm_sub_pd(_mm_loadu_pd(v + i), vtau)));
-  for (; i < n; ++i) v[i] = std::max(v[i] - tau, 0.0);
+  for (; i < n; ++i) v[i] = clamp_nonneg(v[i] - tau);
 }
 
 void masked_sub_clamp_sse2(double* v, const double* mask, double tau,
@@ -127,7 +170,7 @@ void masked_sub_clamp_sse2(double* v, const double* mask, double tau,
     _mm_storeu_pd(v + i, _mm_and_pd(keep, clamped));
   }
   for (; i < n; ++i)
-    v[i] = mask[i] != 0.0 ? std::max(v[i] - tau, 0.0) : 0.0;
+    v[i] = mask[i] != 0.0 ? clamp_nonneg(v[i] - tau) : 0.0;
 }
 
 double clip_nonneg_sum_sse2(double* v, std::size_t n) {
@@ -142,7 +185,7 @@ double clip_nonneg_sum_sse2(double* v, std::size_t n) {
   double total = _mm_cvtsd_f64(acc) +
                  _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
   for (; i < n; ++i) {
-    v[i] = std::max(v[i], 0.0);
+    v[i] = clamp_nonneg(v[i]);
     total += v[i];
   }
   return total;
@@ -162,6 +205,29 @@ double distance_sse2(const double* a, const double* b, std::size_t n) {
     sum += d * d;
   }
   return std::sqrt(sum);
+}
+
+// Each lane accumulator is a partial sum of the final one, so a lane past
+// the limit decides the answer.
+bool distance_within_sse2(const double* a, const double* b, std::size_t n,
+                          double bound) {
+  const double limit = sum_exit_limit(bound);
+  const __m128d vlimit = _mm_set1_pd(limit);
+  __m128d acc = _mm_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d d = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
+    acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
+    if (_mm_movemask_pd(_mm_cmpgt_pd(acc, vlimit)) != 0) return false;
+  }
+  double sum = _mm_cvtsd_f64(acc) +
+               _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+    if (sum > limit) return false;
+  }
+  return std::sqrt(sum) <= bound;
 }
 
 void cesaro_step_sse2(double* avg, const double* col, double k,
@@ -218,7 +284,7 @@ __attribute__((target("avx2,fma"))) void sub_clamp_avx2(double* v, double tau,
     _mm256_storeu_pd(
         v + i,
         _mm256_max_pd(zero, _mm256_sub_pd(_mm256_loadu_pd(v + i), vtau)));
-  for (; i < n; ++i) v[i] = std::max(v[i] - tau, 0.0);
+  for (; i < n; ++i) v[i] = clamp_nonneg(v[i] - tau);
 }
 
 __attribute__((target("avx2,fma"))) void masked_sub_clamp_avx2(
@@ -234,7 +300,7 @@ __attribute__((target("avx2,fma"))) void masked_sub_clamp_avx2(
     _mm256_storeu_pd(v + i, _mm256_and_pd(keep, clamped));
   }
   for (; i < n; ++i)
-    v[i] = mask[i] != 0.0 ? std::max(v[i] - tau, 0.0) : 0.0;
+    v[i] = mask[i] != 0.0 ? clamp_nonneg(v[i] - tau) : 0.0;
 }
 
 __attribute__((target("avx2,fma"))) double clip_nonneg_sum_avx2(
@@ -249,7 +315,7 @@ __attribute__((target("avx2,fma"))) double clip_nonneg_sum_avx2(
   }
   double total = hsum4(acc);
   for (; i < n; ++i) {
-    v[i] = std::max(v[i], 0.0);
+    v[i] = clamp_nonneg(v[i]);
     total += v[i];
   }
   return total;
@@ -273,6 +339,28 @@ __attribute__((target("avx2,fma"))) double distance_avx2(const double* a,
   return std::sqrt(sum);
 }
 
+__attribute__((target("avx2,fma"))) bool distance_within_avx2(
+    const double* a, const double* b, std::size_t n, double bound) {
+  const double limit = sum_exit_limit(bound);
+  const __m256d vlimit = _mm256_set1_pd(limit);
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d d =
+        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    acc = _mm256_fmadd_pd(d, d, acc);
+    if (_mm256_movemask_pd(_mm256_cmp_pd(acc, vlimit, _CMP_GT_OQ)) != 0)
+      return false;
+  }
+  double sum = hsum4(acc);
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+    if (sum > limit) return false;
+  }
+  return std::sqrt(sum) <= bound;
+}
+
 __attribute__((target("avx2,fma"))) void cesaro_step_avx2(double* avg,
                                                           const double* col,
                                                           double k,
@@ -292,7 +380,8 @@ __attribute__((target("avx2,fma"))) void cesaro_step_avx2(double* avg,
 
 bool use_vector(Mode mode, std::size_t n) {
   // Tiny spans gain nothing from the dispatch branch; the engines' columns
-  // are the real targets.  kScalar must take the scalar body unconditionally.
+  // are the real targets.  kScalar must take the scalar body unconditionally
+  // (the clamps excepted, see sub_clamp).
   return mode == Mode::kAuto && n >= 4;
 }
 
@@ -350,33 +439,33 @@ void accumulate(Mode mode, std::span<double> y, std::span<const double> x) {
   accumulate_scalar(y.data(), x.data(), y.size());
 }
 
+// The clamps are element-wise, so every body gives the same bits, and on
+// x86-64 kScalar takes the SSE2 body (the baseline ISA) instead of the
+// scalar loop: -O3 vectorizes that loop into the same pairs, but -O2
+// compiles it to a compare and a branch per element.
 void sub_clamp(Mode mode, std::span<double> v, double tau) {
 #if EDR_SIMD_X86
-  if (use_vector(mode, v.size())) {
-    if (active_level() == Level::kAvx2)
-      sub_clamp_avx2(v.data(), tau, v.size());
-    else
-      sub_clamp_sse2(v.data(), tau, v.size());
-    return;
-  }
-#endif
+  if (use_vector(mode, v.size()) && active_level() == Level::kAvx2)
+    sub_clamp_avx2(v.data(), tau, v.size());
+  else
+    sub_clamp_sse2(v.data(), tau, v.size());
+#else
   (void)mode;
   sub_clamp_scalar(v.data(), tau, v.size());
+#endif
 }
 
 void masked_sub_clamp(Mode mode, std::span<double> v,
                       std::span<const double> mask, double tau) {
 #if EDR_SIMD_X86
-  if (use_vector(mode, v.size())) {
-    if (active_level() == Level::kAvx2)
-      masked_sub_clamp_avx2(v.data(), mask.data(), tau, v.size());
-    else
-      masked_sub_clamp_sse2(v.data(), mask.data(), tau, v.size());
-    return;
-  }
-#endif
+  if (use_vector(mode, v.size()) && active_level() == Level::kAvx2)
+    masked_sub_clamp_avx2(v.data(), mask.data(), tau, v.size());
+  else
+    masked_sub_clamp_sse2(v.data(), mask.data(), tau, v.size());
+#else
   (void)mode;
   masked_sub_clamp_scalar(v.data(), mask.data(), tau, v.size());
+#endif
 }
 
 double clip_nonneg_sum(Mode mode, std::span<double> v) {
@@ -402,6 +491,19 @@ double distance(Mode mode, std::span<const double> a,
 #endif
   (void)mode;
   return distance_scalar(a.data(), b.data(), a.size());
+}
+
+bool distance_within(Mode mode, std::span<const double> a,
+                     std::span<const double> b, double bound) {
+#if EDR_SIMD_X86
+  if (use_vector(mode, a.size())) {
+    if (active_level() == Level::kAvx2)
+      return distance_within_avx2(a.data(), b.data(), a.size(), bound);
+    return distance_within_sse2(a.data(), b.data(), a.size(), bound);
+  }
+#endif
+  (void)mode;
+  return distance_within_scalar(a.data(), b.data(), a.size(), bound);
 }
 
 void cesaro_step(Mode mode, std::span<double> avg,

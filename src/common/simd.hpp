@@ -2,11 +2,13 @@
 //
 // Every kernel takes an explicit dispatch Mode as its first argument:
 //
-//   Mode::kScalar — the byte-pinned golden path.  The scalar loop bodies are
-//     verbatim copies of the code they replaced in optim/projection.cpp,
-//     common/matrix.hpp and core/{cdpsm,lddm}.cpp, so routing a call site
-//     through this layer with kScalar changes no observable bit (enforced by
-//     the golden-equivalence digests).
+//   Mode::kScalar — the byte-pinned golden path.  The scalar loop bodies
+//     compute bit for bit what the code they replaced in
+//     optim/projection.cpp, common/matrix.hpp and core/{cdpsm,lddm}.cpp
+//     computed, so routing a call site through this layer with kScalar
+//     changes no observable bit (enforced by the golden-equivalence
+//     digests).  The clamps (sub_clamp, masked_sub_clamp) are element-wise,
+//     and on x86-64 kScalar runs their SSE2 body, which is branch-free.
 //   Mode::kAuto — pick the widest instruction set the *running* CPU
 //     supports: AVX2+FMA when available, else SSE2 on x86-64 (where it is
 //     the baseline), else the scalar loop.  Detection is one cached
@@ -21,6 +23,8 @@
 //     identical across modes: each output lane sees the same operations in
 //     the same order, and the vector max is arranged operand-order-exact
 //     (max(0, x) matches std::max(x, 0.0) on signed zeros and NaN).
+//   * distance_within(mode, ...) returns exactly distance(mode, a, b) <=
+//     bound of the same mode; it only stops scanning once that is decided.
 //   * Reductions (the sum in clip_nonneg_sum, distance) use multiple
 //     vector accumulators in kAuto, which reorders the addition chain and
 //     may contract multiply+add into FMA — results agree with kScalar to a
@@ -80,6 +84,13 @@ void masked_sub_clamp(Mode mode, std::span<double> v,
 /// sqrt(Σ (a[i] - b[i])²).  Reduction: documented tolerance in kAuto.
 [[nodiscard]] double distance(Mode mode, std::span<const double> a,
                               std::span<const double> b);
+
+/// distance(mode, a, b) <= bound, decided with the same accumulation but
+/// returning false as soon as a partial sum proves the distance exceeds
+/// `bound` — bitwise the same decision, NaN and inf included.  For
+/// convergence tests that only compare the distance with a tolerance.
+[[nodiscard]] bool distance_within(Mode mode, std::span<const double> a,
+                                   std::span<const double> b, double bound);
 
 /// avg[i] += (col[i] - avg[i]) / k — the Cesàro running-average update of
 /// the dual engines' primal recovery.  Bitwise identical across modes.

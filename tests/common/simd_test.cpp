@@ -11,6 +11,9 @@
 //      the FMA-contracted axpy, and a small relative tolerance for the
 //      reordered reductions (distance, the sum returned by
 //      clip_nonneg_sum).
+// distance_within must return the same decision as distance() <= bound in
+// each mode, on random spans, at bounds whose square is within a few ulps
+// of the sum, and on empty spans, inf and NaN entries.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -116,6 +119,39 @@ TEST(Simd, AxpyScalarIsGoldenAutoWithinProductRounding) {
       EXPECT_TRUE(within_fma_contraction(vectorized[off + i], reference[i],
                                          a, xs[i]))
           << "trial " << t << " lane " << i;
+  }
+}
+
+TEST(Simd, SubClampKeepsStdMaxOnNanAndSignedZero) {
+  // NaN passes through with its payload and -0.0 stays -0.0, as in
+  // std::max(x, 0.0), on the scalar body and on every vector tail length.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN(),
+                            -0.0, 0.0, -kInf, kInf, -1.5, 2.5, 1e-310};
+  for (const double tau : {0.0, -0.0, 1.0, -1.0}) {
+    for (std::size_t n = 0; n <= 11; ++n) {
+      std::vector<double> v(n), mask(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = special[(i + n) % std::size(special)];
+        mask[i] = i % 3 == 0 ? 0.0 : 1.0;
+      }
+      std::vector<double> reference = v, masked_reference = v;
+      for (std::size_t i = 0; i < n; ++i) {
+        reference[i] = std::max(v[i] - tau, 0.0);
+        masked_reference[i] = mask[i] != 0.0 ? reference[i] : 0.0;
+      }
+      for (const Mode mode : {Mode::kScalar, Mode::kAuto}) {
+        auto clamped = v;
+        sub_clamp(mode, clamped, tau);
+        EXPECT_TRUE(bitwise_equal(clamped, reference))
+            << to_string(mode) << " n " << n << " tau " << tau;
+        auto masked = v;
+        masked_sub_clamp(mode, masked, mask, tau);
+        EXPECT_TRUE(bitwise_equal(masked, masked_reference))
+            << to_string(mode) << " n " << n << " tau " << tau;
+      }
+    }
   }
 }
 
@@ -247,6 +283,87 @@ TEST(Simd, DistanceWithinTolerance) {
     EXPECT_NEAR(distance(Mode::kAuto, as, bs), reference,
                 1e-12 * std::max(1.0, reference))
         << "trial " << t;
+  }
+}
+
+/// Bounds around `distance`: a few ulps either side of it, the roots of
+/// sums a few ulps either side of its square (so the early exit's limit on
+/// the sum sits right at the total), and the special values.
+std::vector<double> bounds_around(double distance) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> bounds = {0.0,  -0.0, -1.0, 0.5 * distance,
+                                2.0 * distance, kInf, -kInf,
+                                std::numeric_limits<double>::quiet_NaN()};
+  double below = distance, above = distance;
+  double sum_below = distance * distance, sum_above = sum_below;
+  bounds.push_back(distance);
+  bounds.push_back(std::sqrt(sum_below));
+  for (int k = 0; k < 4; ++k) {
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, kInf);
+    sum_below = std::nextafter(sum_below, 0.0);
+    sum_above = std::nextafter(sum_above, kInf);
+    bounds.insert(bounds.end(), {below, above, std::sqrt(sum_below),
+                                 std::sqrt(sum_above)});
+  }
+  return bounds;
+}
+
+void expect_same_decision(std::span<const double> a,
+                          std::span<const double> b, double bound,
+                          const char* what) {
+  for (const Mode mode : {Mode::kScalar, Mode::kAuto}) {
+    EXPECT_EQ(distance_within(mode, a, b, bound),
+              distance(mode, a, b) <= bound)
+        << what << ", " << to_string(mode) << ", n " << a.size()
+        << ", bound " << bound << ", distance " << distance(mode, a, b);
+  }
+}
+
+TEST(Simd, DistanceWithinMatchesDistanceDecision) {
+  Rng rng{18};
+  for (int t = 0; t < kTrials; ++t) {
+    const auto [n, off] = random_trial(rng);
+    const auto a = random_buffer(rng, n + off);
+    auto b = random_buffer(rng, n + off);
+    // Half the trials end in a run of equal entries, so a partial sum is
+    // already the total and the early exit decides on it.
+    if (n > 0 && rng.uniform() < 0.5) {
+      const auto tail = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(n)));
+      std::copy(a.end() - static_cast<std::ptrdiff_t>(tail), a.end(),
+                b.end() - static_cast<std::ptrdiff_t>(tail));
+    }
+    const std::span<const double> as{a.data() + off, n};
+    const std::span<const double> bs{b.data() + off, n};
+    for (const Mode mode : {Mode::kScalar, Mode::kAuto})
+      for (const double bound : bounds_around(distance(mode, as, bs)))
+        expect_same_decision(as, bs, bound, "random");
+  }
+}
+
+TEST(Simd, DistanceWithinSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kBounds[] = {0.0, -0.0, -1.0, 1e-170, 1.0, 3.0, 1e200,
+                            kInf, -kInf, kNan};
+  for (const double bound : kBounds)
+    expect_same_decision({}, {}, bound, "empty");
+  // One special entry at every position of spans up to 9 long, behind and
+  // ahead of ordinary and huge differences.
+  for (const double special : {kInf, -kInf, kNan, 1e160}) {
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (std::size_t at = 0; at < n; ++at) {
+        std::vector<double> a(n, 1.0), b(n, 0.0);
+        if (n > 2) a[(at + 1) % n] = 1e155;
+        a[at] = special;
+        for (const double bound : kBounds)
+          expect_same_decision(a, b, bound, "special");
+        b[at] = special;  // inf - inf and NaN - NaN: NaN terms
+        for (const double bound : kBounds)
+          expect_same_decision(a, b, bound, "special pair");
+      }
+    }
   }
 }
 
