@@ -59,7 +59,6 @@ void CdpsmEngine::project_local(std::size_t n,
   thread_local std::vector<double> corr_demand;
   thread_local std::vector<double> corr_capacity;
   thread_local std::vector<double> previous;
-  thread_local std::vector<double> before;
   thread_local std::vector<double> column;
   const common::SparsityPattern& pattern = estimate.pattern();
   const auto positions = pattern.col_positions(n);
@@ -68,19 +67,18 @@ void CdpsmEngine::project_local(std::size_t n,
   corr_demand.assign(values.size(), 0.0);
   corr_capacity.assign(positions.size(), 0.0);
   previous.assign(values.begin(), values.end());
-  before.resize(values.size());
   column.resize(positions.size());
   for (std::size_t iter = 0; iter < 200; ++iter) {
     for (std::size_t c = 0; c < work_->num_clients(); ++c) {
       const std::size_t begin = pattern.row_begin(c);
       const std::span<double> row = estimate.row(c);
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        row[i] += corr_demand[begin + i];
-        before[begin + i] = row[i];
-      }
+      // The row's correction slots hold its pre-projection values until
+      // the projection is done, then the new corrections.
+      for (std::size_t i = 0; i < row.size(); ++i)
+        corr_demand[begin + i] = row[i] += corr_demand[begin + i];
       optim::project_simplex_active(row, work_->demand(c), options_.simd);
       for (std::size_t i = 0; i < row.size(); ++i)
-        corr_demand[begin + i] = before[begin + i] - row[i];
+        corr_demand[begin + i] -= row[i];
     }
 
     for (std::size_t i = 0; i < positions.size(); ++i)
@@ -91,10 +89,10 @@ void CdpsmEngine::project_local(std::size_t n,
       values[positions[i]] = column[i];
     }
 
-    const double change = common::simd::distance(options_.simd, values,
-                                                 previous);
+    if (common::simd::distance_within(options_.simd, values, previous,
+                                      1e-11))
+      break;
     previous.assign(values.begin(), values.end());
-    if (change <= 1e-11) break;
   }
   // End on the demand set so row sums are exact.
   optim::project_demand_set(*work_, estimate, nullptr, options_.simd);
@@ -135,6 +133,10 @@ void CdpsmEngine::update_replica(std::size_t n,
 }
 
 CdpsmRoundStats CdpsmEngine::round() {
+  return advance(telemetry_attached_ || collect_stats_);
+}
+
+CdpsmRoundStats CdpsmEngine::advance(bool residuals) {
   const std::size_t replicas = estimates_.size();
   CdpsmRoundStats stats;
   stats.round = ++rounds_;
@@ -170,18 +172,7 @@ CdpsmRoundStats CdpsmEngine::round() {
       step_block(0, 0, replicas);
   }
 
-  // Reductions stay serial and in index order (part of the determinism
-  // contract; max() is order-insensitive but keeping one code path is
-  // simpler to reason about than proving each reduction safe).
-  for (std::size_t n = 0; n < replicas; ++n) {
-    stats.movement = std::max(
-        stats.movement,
-        estimates_[n].distance(previous_estimates_[n], options_.simd));
-    for (std::size_t m = n + 1; m < replicas; ++m)
-      stats.disagreement =
-          std::max(stats.disagreement,
-                   estimates_[n].distance(estimates_[m], options_.simd));
-  }
+  if (residuals) consensus_residuals(stats);
   stats.bytes_exchanged = bytes_per_replica_round() * replicas;
   messages_exchanged_ += replicas * (replicas - 1);
   bytes_exchanged_ += stats.bytes_exchanged;
@@ -195,11 +186,14 @@ CdpsmRoundStats CdpsmEngine::round() {
   // preserves column sums), so this is the true E_g either way.
   stats.objective = work_->total_cost(scratch_solution_);
   objective_metric_.set(stats.objective);
-  disagreement_metric_.set(stats.disagreement);
-  movement_metric_.set(stats.movement);
+  if (residuals) {
+    disagreement_metric_.set(stats.disagreement);
+    movement_metric_.set(stats.movement);
+  }
   const bool stable =
-      has_last_ && scratch_solution_.distance(last_solution_, options_.simd) <=
-                       options_.tolerance * scale;
+      has_last_ && common::simd::distance_within(
+                       options_.simd, scratch_solution_.values(),
+                       last_solution_.values(), options_.tolerance * scale);
   if (stable) {
     if (++stable_rounds_ >= options_.patience) converged_ = true;
   } else {
@@ -212,11 +206,27 @@ CdpsmRoundStats CdpsmEngine::round() {
   return stats;
 }
 
+void CdpsmEngine::consensus_residuals(CdpsmRoundStats& stats) const {
+  // Reductions stay serial and in index order (part of the determinism
+  // contract; max() is order-insensitive but keeping one code path is
+  // simpler to reason about than proving each reduction safe).
+  const std::size_t replicas = estimates_.size();
+  for (std::size_t n = 0; n < replicas; ++n) {
+    stats.movement = std::max(
+        stats.movement,
+        estimates_[n].distance(previous_estimates_[n], options_.simd));
+    for (std::size_t m = n + 1; m < replicas; ++m)
+      stats.disagreement =
+          std::max(stats.disagreement,
+                   estimates_[n].distance(estimates_[m], options_.simd));
+  }
+}
+
 optim::ConvergenceTrace CdpsmEngine::run() {
   optim::ConvergenceTrace trace;
   double bytes_total = 0.0;
   while (!converged_ && rounds_ < options_.max_rounds) {
-    const auto stats = round();
+    const auto stats = advance(/*residuals=*/true);
     bytes_total += static_cast<double>(stats.bytes_exchanged);
     trace.record({stats.round, stats.objective,
                   std::max(stats.disagreement, stats.movement), bytes_total});
@@ -242,6 +252,7 @@ void CdpsmEngine::solution_into(common::SparseAllocation& out) const {
 }
 
 void CdpsmEngine::attach_telemetry(telemetry::Telemetry& telemetry) {
+  telemetry_attached_ = true;
   tracer_ = &telemetry.tracer();
   auto& metrics = telemetry.metrics();
   rounds_metric_ = metrics.counter("solver.cdpsm.rounds");

@@ -68,7 +68,10 @@ struct CdpsmOptions {
   common::simd::Mode simd = common::simd::Mode::kScalar;
 };
 
-/// Per-round progress of the synchronous driver.
+/// Per-round progress of the synchronous driver.  The consensus residuals
+/// (disagreement, movement) scan every estimate, so they are computed only
+/// for a reader — attached telemetry's gauges, collected replica stats'
+/// flight-recorder samples, run()'s trace — and read 0 otherwise.
 struct CdpsmRoundStats {
   std::size_t round = 0;
   double objective = 0.0;      ///< cost of the mean estimate (projected)
@@ -104,10 +107,13 @@ class CdpsmEngine {
     return aggregation_.get();
   }
 
-  /// One synchronous round over all replicas (the standalone driver).
+  /// One synchronous round over all replicas (the standalone driver).  The
+  /// consensus residuals are filled in when telemetry is attached or
+  /// replica stats are collected (see CdpsmRoundStats).
   CdpsmRoundStats round();
 
-  /// Run rounds until convergence or the round limit; returns the trace.
+  /// Run rounds until convergence or the round limit; returns the trace,
+  /// whose residual is max(disagreement, movement) of each round.
   optim::ConvergenceTrace run();
 
   [[nodiscard]] bool converged() const { return converged_; }
@@ -126,7 +132,8 @@ class CdpsmEngine {
   [[nodiscard]] const optim::Problem& problem() const { return *problem_; }
 
   /// Record per-round consensus/gradient spans and progress gauges
-  /// (solver.cdpsm.*) into `telemetry`.
+  /// (solver.cdpsm.*) into `telemetry`; round() then computes the consensus
+  /// residuals the gauges read.
   void attach_telemetry(telemetry::Telemetry& telemetry);
 
   /// Use an externally owned pool for the parallel round instead of the
@@ -156,6 +163,11 @@ class CdpsmEngine {
   }
 
  private:
+  /// One round; `residuals` also computes the consensus residuals.
+  CdpsmRoundStats advance(bool residuals);
+  /// The round's consensus residuals, from the estimates it produced and
+  /// the ones it started from (both kept until the next round).
+  void consensus_residuals(CdpsmRoundStats& stats) const;
   /// Dykstra projection of an estimate onto X_n.
   void project_local(std::size_t n, common::SparseAllocation& estimate) const;
   /// Replica n's update: the round's consensus_, local gradient step,
@@ -189,6 +201,7 @@ class CdpsmEngine {
   telemetry::Gauge disagreement_metric_;
   telemetry::Gauge movement_metric_;
   double step_ = 0.0;
+  bool telemetry_attached_ = false;
   bool collect_stats_ = false;
   std::vector<CdpsmReplicaStats> replica_stats_;
   std::vector<common::SparseAllocation> estimates_;
