@@ -369,4 +369,31 @@ fi
 echo "observability smoke: digests identical with tracing on and off"
 
 echo
-echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + memory + live + observability)"
+echo "== sim observability parity (edr_sim cdpsm sparse, dark vs watched) =="
+# The simulator's side of the parity check above.  Telemetry and the
+# flight recorder are what make CDPSM compute its consensus residuals,
+# which feed only gauges and samples, so every allocation-derived field of
+# the report must match a run with no telemetry exactly.
+build/examples/edr_sim --algorithm cdpsm --representation sparse --json \
+  > "$smoke_dir/sim_dark.json"
+build/examples/edr_sim --algorithm cdpsm --representation sparse --json \
+  --telemetry-out "$smoke_dir/sim_watch_trace.json" --watch \
+  > "$smoke_dir/sim_watch.json" 2>/dev/null
+python3 - "$smoke_dir/sim_dark.json" "$smoke_dir/sim_watch.json" <<'PY'
+import json, sys
+fields = ["total_cost_cents", "total_active_cost_cents", "megabytes_served",
+          "requests_served", "mean_response_ms", "p99_response_ms",
+          "total_rounds", "control_messages", "control_bytes"]
+dark, watched = (json.load(open(path)) for path in sys.argv[1:])
+drift = [f"  {field}: dark {dark[field]!r}, watched {watched[field]!r}"
+         for field in fields if dark[field] != watched[field]]
+if drift:
+    print("sim observability parity FAILED: telemetry changed the run:",
+          *drift, sep="\n", file=sys.stderr)
+    sys.exit(1)
+print(f"sim observability parity: {len(fields)} allocation-derived fields"
+      " identical with telemetry and --watch on and off")
+PY
+
+echo
+echo "check.sh: all suites passed (regular + asan/ubsan + tsan + smoke + scenario + sparse + memory + live + observability + sim parity)"
